@@ -162,7 +162,8 @@ func run(o options) (*report, error) {
 	}
 
 	// Inputs: the open loop's whole schedule, or the closed loop's warm-up
-	// images followed by a pool sized to outlast the window.
+	// images followed by a pool sized for the window at the workload's
+	// expected rate; a faster run builds the rest on demand.
 	var warm, ins []*input
 	var err error
 	if w.Rate > 0 {
