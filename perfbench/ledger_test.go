@@ -12,13 +12,7 @@ import (
 // replayInputs builds the inputs a traced run of w replays for seed.
 func replayInputs(t *testing.T, w *workload, seed int64) []*input {
 	t.Helper()
-	var ins []*input
-	var err error
-	if w.Rate > 0 {
-		ins, err = fleetImages(time.Second)(seed, 0, 0)
-	} else {
-		ins, err = w.images(seed, w.Warmup, w.Warmup+w.Replay)
-	}
+	ins, err := w.images(seed, w.Warmup, w.Warmup+w.Replay)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,7 @@ func (c *linkConn) Write(b []byte) (int, error) {
 // outcome is one session as the client saw it.
 type outcome struct {
 	In       *input
-	Start    time.Time // dial (closed loop) or due instant (open loop)
-	Began    time.Time // when the generator actually started it
+	Start    time.Time // the session began: first dial
 	Dialed   time.Time // connection established (last attempt)
 	End      time.Time // verdict received
 	First    time.Time // first image byte written (last attempt)
@@ -117,8 +116,8 @@ const (
 
 // session runs one provisioning session to a verdict, retrying busy
 // sheds within the budget after the hinted back-off.
-func (g *generator) session(in *input, start time.Time) *outcome {
-	o := &outcome{In: in, Start: start, Began: time.Now()}
+func (g *generator) session(in *input) *outcome {
+	o := &outcome{In: in, Start: time.Now()}
 	contentWrite := 2 // wrapped session key, then the stream
 	if g.client.Route != nil {
 		contentWrite = 4 // routing preamble first
@@ -157,14 +156,14 @@ func (g *generator) session(in *input, start time.Time) *outcome {
 	return o
 }
 
-// closedLoop keeps w.Clients sessions in flight until the window closes,
-// each client starting its next session when its verdict arrives. next
-// hands out inputs in sequence.
-func (g *generator) closedLoop(window time.Duration, next func() (*input, error)) ([]*outcome, time.Time, error) {
+// closedLoop keeps w.Clients sessions in flight until the window closes
+// or every input has been sent, each client starting its next session
+// when its verdict arrives. Inputs are handed out in sequence.
+func (g *generator) closedLoop(window time.Duration, ins []*input) ([]*outcome, time.Time) {
 	var (
 		mu   sync.Mutex
 		outs []*outcome
-		ferr error
+		next int
 		wg   sync.WaitGroup
 	)
 	t0 := time.Now()
@@ -175,47 +174,20 @@ func (g *generator) closedLoop(window time.Duration, next func() (*input, error)
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				mu.Lock()
-				in, err := next()
-				if err != nil && ferr == nil {
-					ferr = err
-				}
-				mu.Unlock()
-				if err != nil {
+				if next == len(ins) {
+					mu.Unlock()
 					return
 				}
-				o := g.session(in, time.Now())
+				in := ins[next]
+				next++
+				mu.Unlock()
+				o := g.session(in)
 				mu.Lock()
 				outs = append(outs, o)
 				mu.Unlock()
 			}
 		}()
 	}
-	wg.Wait()
-	return outs, t0, ferr
-}
-
-// openLoop starts each input at its due offset from the window start,
-// with at most w.Clients sessions in flight; a session that cannot start
-// on time waits, and its latency still counts from when it was due.
-func (g *generator) openLoop(ins []*input) ([]*outcome, time.Time) {
-	outs := make([]*outcome, len(ins))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for c := 0; c < g.w.Clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				outs[i] = g.session(ins[i], t0.Add(ins[i].Due))
-			}
-		}()
-	}
-	for i, in := range ins {
-		time.Sleep(time.Until(t0.Add(in.Due)))
-		work <- i
-	}
-	close(work)
 	wg.Wait()
 	return outs, t0
 }

@@ -9,7 +9,7 @@
 //
 //	perfbench -bin <dir with engarde-gatewayd, engarde-router> \
 //	          -workload cold-mixed|fleet-repeat|wan-stream \
-//	          -seed 1 -seconds 25 -trace 0
+//	          -seed 1 -seconds 20 -trace 0
 //
 // See README.md beside this file for what each workload exercises and
 // which layer metric each end-to-end metric should move.
@@ -24,17 +24,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"engarde"
-)
-
-// setupRuns is how many times a run boots a single gatewayd; setup_s is
-// the median. Every boot but the last is torn down again. A routed fleet,
-// whose boot fills two enclave pools, boots fleetSetupRuns times.
-const (
-	setupRuns      = 9
-	fleetSetupRuns = 3
 )
 
 type options struct {
@@ -51,7 +44,7 @@ func main() {
 	var trace int
 	flag.StringVar(&o.workload, "workload", "", "workload to run: cold-mixed, fleet-repeat or wan-stream")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for every generated input")
-	flag.IntVar(&o.seconds, "seconds", 25, "length of the measured window")
+	flag.IntVar(&o.seconds, "seconds", 20, "length of the measured window")
 	flag.IntVar(&trace, "trace", 0, "1 = report per-layer metrics from a traced run instead of end-to-end metrics")
 	flag.StringVar(&o.binDir, "bin", ".bench_build/bin", "directory holding the engarde-gatewayd and engarde-router binaries")
 	flag.StringVar(&o.workDir, "work", ".bench_build/run", "directory for daemon logs, key files and span dumps")
@@ -98,6 +91,10 @@ type report struct {
 	Mismatches []string `json:"mismatches,omitempty"`
 	Failures   []string `json:"failures,omitempty"`
 
+	// InputsExhausted is set when the window ended early because every
+	// input built for it had been sent.
+	InputsExhausted bool `json:"inputs_exhausted"`
+
 	Attempted int `json:"attempted"`
 	Failed    int `json:"failed"`
 
@@ -105,7 +102,6 @@ type report struct {
 	SessionLat  Quantile  `json:"session_p50"`
 	SessionTail Quantile  `json:"session_tail"`
 	FBTV        Quantile  `json:"fbtv_p50"`
-	Late        Quantile  `json:"gen_late_p90"`
 	Retries     int       `json:"client_retries"`
 	// Samples are the raw per-session timings behind the quantiles, in
 	// milliseconds, in session order.
@@ -153,41 +149,29 @@ func run(o options) (*report, error) {
 		}
 	}
 	window := time.Duration(o.seconds) * time.Second
-	if w.Rate > 0 {
-		w.images = fleetImages(window)
-	}
 	dir := filepath.Join(o.workDir, fmt.Sprintf("%s-%d-%d", w.Name, o.seed, os.Getpid()))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 
-	// Inputs: the open loop's whole schedule, or the closed loop's warm-up
-	// images followed by a pool sized for the window at the workload's
-	// expected rate; a faster run builds the rest on demand.
-	var warm, ins []*input
-	var err error
-	if w.Rate > 0 {
-		ins, err = w.images(o.seed, 0, 0)
-	} else {
-		n := w.Warmup + int(math.Ceil(w.capacity*window.Seconds()))
-		ins, err = w.images(o.seed, 0, n)
-		warm, ins = ins[:w.Warmup], ins[w.Warmup:]
-	}
+	// Inputs: the warm-up images, then every image the window may send
+	// at up to w.MaxRate sessions per second, all built before any
+	// daemon starts.
+	n := w.Warmup + int(math.Ceil(w.MaxRate*window.Seconds()))
+	ins, err := w.images(o.seed, 0, n)
 	if err != nil {
 		return nil, err
 	}
+	warm, ins := ins[:w.Warmup], ins[w.Warmup:]
 	rep := &report{Workload: w.Name, Seed: o.seed, Seconds: o.seconds, Traced: o.trace}
 	if rep.Oracle, err = confirmOracles(w, ins); err != nil {
 		return nil, err
 	}
 
-	// Boot the fleet setupRuns times; the last boot serves the window.
+	// Boot the topology w.SetupRuns times; the last boot serves the
+	// window.
 	var f *fleet
-	boots := setupRuns
-	if w.Router {
-		boots = fleetSetupRuns
-	}
-	for i := 0; i < boots; i++ {
+	for i := 0; i < w.SetupRuns; i++ {
 		var d time.Duration
 		f, d, err = bootFleet(w, o.binDir, dir)
 		if err != nil {
@@ -195,7 +179,7 @@ func run(o options) (*report, error) {
 			return nil, err
 		}
 		rep.SetupRuns = append(rep.SetupRuns, d.Seconds())
-		if i < boots-1 {
+		if i < w.SetupRuns-1 {
 			f.stop()
 		}
 	}
@@ -205,9 +189,10 @@ func run(o options) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, in := range warm {
-		if out := gen.session(in, time.Now()); !out.ok() {
-			return nil, fmt.Errorf("warm-up session (image seed %d) failed: %v %+v", in.Seed, out.Err, out.Verdict)
+	warmOuts, _ := gen.closedLoop(time.Minute, warm)
+	for _, out := range warmOuts {
+		if !out.ok() {
+			return nil, fmt.Errorf("warm-up session (image seed %d) failed: %v %+v", out.In.Seed, out.Err, out.Verdict)
 		}
 	}
 
@@ -215,33 +200,8 @@ func run(o options) (*report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var outs []*outcome
-	var t0 time.Time
-	if w.Rate > 0 {
-		outs, t0 = gen.openLoop(ins)
-	} else {
-		next := len(warm)
-		pool := ins
-		outs, t0, err = gen.closedLoop(window, func() (*input, error) {
-			if len(pool) == 0 {
-				more, err := w.images(o.seed, next, next+2)
-				if err != nil {
-					return nil, err
-				}
-				pool = more
-			}
-			in := pool[0]
-			pool = pool[1:]
-			next = in.Index + 1
-			return in, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := f.poolsRefilled(w, 30*time.Second); err != nil {
-		return nil, err
-	}
+	outs, t0 := gen.closedLoop(window, ins)
+	rep.InputsExhausted = len(outs) == len(ins)
 	cpu1, err := f.cpuTotal()
 	if err != nil {
 		return nil, err
@@ -280,13 +240,12 @@ func run(o options) (*report, error) {
 // window. Timings come from raw per-session samples by nearest rank.
 func (r *report) summarize(outs []*outcome, t0 time.Time, cpu time.Duration, rss int64) {
 	sent := make([]*input, len(outs))
-	var lat, fbtv, late []time.Duration
+	var lat, fbtv []time.Duration
 	var last time.Time
 	ok := 0
 	for i, o := range outs {
 		sent[i] = o.In
 		r.Retries += o.Retries
-		late = append(late, max(0, o.Began.Sub(o.Start)))
 		switch {
 		case o.Err != nil:
 			r.Failures = append(r.Failures, fmt.Sprintf("session %d (image seed %d): %v", o.In.Index, o.In.Seed, o.Err))
@@ -313,7 +272,6 @@ func (r *report) summarize(outs []*outcome, t0 time.Time, cpu time.Duration, rss
 	r.SessionLat = nearestRank(latMs, 0.5)
 	r.SessionTail = tailRank(latMs)
 	r.FBTV = nearestRank(sortedMillis(fbtv), 0.5)
-	r.Late = nearestRank(sortedMillis(late), 0.9)
 
 	failRatio := 0.0
 	if len(outs) > 0 {
@@ -350,7 +308,8 @@ type oracleCheck struct {
 
 // confirmOracles provisions the first image of each kind in-process,
 // untimed, through the same library the gatewayd serves with, and
-// records whether its verdict is the one the oracle fixed.
+// records whether its verdict is the one the oracle fixed. Two
+// provisions run at a time.
 func confirmOracles(w *workload, ins []*input) ([]oracleCheck, error) {
 	pols, err := engarde.ParsePolicies(w.Policies)
 	if err != nil {
@@ -360,26 +319,43 @@ func confirmOracles(w *workload, ins []*input) ([]oracleCheck, error) {
 	if err != nil {
 		return nil, err
 	}
-	var checks []oracleCheck
+	var firsts []*input
 	seen := map[string]bool{}
 	for _, in := range ins {
-		if seen[in.Kind] {
-			continue
+		if !seen[in.Kind] {
+			seen[in.Kind] = true
+			firsts = append(firsts, in)
 		}
-		seen[in.Kind] = true
-		encl, err := provider.CreateEnclave(engarde.EnclaveConfig{
-			Policies: pols, HeapPages: gatewayHeapPages, ClientPages: gatewayClientPages,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := encl.Provision(in.Image)
-		encl.Destroy()
-		if err != nil {
-			return nil, fmt.Errorf("reference provision of image seed %d: %w", in.Seed, err)
-		}
-		v := engarde.VerdictForReport(rep)
-		checks = append(checks, oracleCheck{Kind: in.Kind, ImageSeed: in.Seed, Want: in.Oracle, Got: v, Match: in.Oracle.matches(v)})
+	}
+	checks := make([]oracleCheck, len(firsts))
+	errs := make([]error, len(firsts))
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, 2)
+	for i, in := range firsts {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			encl, err := provider.CreateEnclave(engarde.EnclaveConfig{
+				Policies: pols, HeapPages: gatewayHeapPages, ClientPages: gatewayClientPages,
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			rep, err := encl.Provision(in.Image)
+			encl.Destroy()
+			if err != nil {
+				errs[i] = fmt.Errorf("reference provision of image seed %d: %w", in.Seed, err)
+				return
+			}
+			v := engarde.VerdictForReport(rep)
+			checks[i] = oracleCheck{Kind: in.Kind, ImageSeed: in.Seed, Want: in.Oracle, Got: v, Match: in.Oracle.matches(v)}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	sort.Slice(checks, func(i, j int) bool { return checks[i].Kind < checks[j].Kind })
 	return checks, nil

@@ -115,9 +115,12 @@ func (f *fleet) stop() {
 }
 
 // bootFleet starts the workload's daemons — gatewayds with default flags
-// plus the workload's own, and the router when there is one — and
-// returns once every process is ready. Only deployment settings
-// (addresses, key files) are added to the flags.
+// plus the workload's policy list, then, once they are ready, the router
+// when there is one — and returns once every process is ready. Only
+// deployment settings (addresses, key files) are added to the flags.
+// Starting the router last, as an orchestrator would, keeps its first
+// health probe from finding a backend still booting and marking it down
+// for a cooldown.
 func bootFleet(w *workload, binDir, dir string) (*fleet, time.Duration, error) {
 	f := &fleet{}
 	t0 := time.Now()
@@ -132,7 +135,7 @@ func bootFleet(w *workload, binDir, dir string) (*fleet, time.Duration, error) {
 		}
 		name := fmt.Sprintf("gatewayd-%d", i)
 		key := filepath.Join(dir, name+".pub")
-		args := append([]string{"-listen", addr, "-stats-addr", admin, "-attest-key-out", key}, w.GatewayFlags...)
+		args := []string{"-listen", addr, "-stats-addr", admin, "-attest-key-out", key}
 		if w.Policies != defaultPolicies {
 			args = append(args, "-policies", w.Policies)
 		}
@@ -142,6 +145,9 @@ func bootFleet(w *workload, binDir, dir string) (*fleet, time.Duration, error) {
 		}
 		d.addr, d.admin, d.key = addr, "http://"+admin, key
 		f.gateways = append(f.gateways, d)
+	}
+	if err := f.waitReady(60 * time.Second); err != nil {
+		return f, 0, err
 	}
 	if w.Router {
 		addr, err := freeAddr()
@@ -163,19 +169,19 @@ func bootFleet(w *workload, binDir, dir string) (*fleet, time.Duration, error) {
 		d.addr, d.admin = addr, "http://"+admin
 		f.router = d
 	}
-	if err := f.waitReady(w, 60*time.Second); err != nil {
+	if err := f.waitReady(60 * time.Second); err != nil {
 		return f, 0, err
 	}
 	return f, time.Since(t0), nil
 }
 
-// waitReady polls until every gatewayd answers /readyz 200 with its
-// enclave pool at target depth and its key file written, and the router
-// (if any) is ready with every backend healthy.
-func (f *fleet) waitReady(w *workload, timeout time.Duration) error {
+// waitReady polls until every gatewayd answers /readyz 200 with its key
+// file written, and the router (if any) is ready with every backend
+// healthy.
+func (f *fleet) waitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for _, d := range f.all() {
-		for !d.ready(w, len(f.gateways)) {
+		for !d.ready(len(f.gateways)) {
 			select {
 			case <-d.done:
 				return fmt.Errorf("%s exited during start-up: %v (see %s.log)", d.name, d.err, d.name)
@@ -192,7 +198,7 @@ func (f *fleet) waitReady(w *workload, timeout time.Duration) error {
 
 var httpClient = &http.Client{Timeout: 5 * time.Second}
 
-func (d *daemon) ready(w *workload, backends int) bool {
+func (d *daemon) ready(backends int) bool {
 	resp, err := httpClient.Get(d.admin + "/readyz")
 	if err != nil {
 		return false
@@ -208,18 +214,8 @@ func (d *daemon) ready(w *workload, backends int) bool {
 		}
 		return getJSON(d.admin+"/statsz", &st) == nil && st.Healthy == backends
 	}
-	if _, err := os.Stat(d.key); err != nil {
-		return false
-	}
-	if w.PoolDepth > 0 {
-		var st struct {
-			Pool *struct {
-				Depth int `json:"depth"`
-			} `json:"pool"`
-		}
-		return getJSON(d.admin+"/statsz", &st) == nil && st.Pool != nil && st.Pool.Depth >= w.PoolDepth
-	}
-	return true
+	_, err = os.Stat(d.key)
+	return err == nil
 }
 
 func getJSON(url string, v any) error {
@@ -328,23 +324,4 @@ func (f *fleet) rssTotal() (int64, error) {
 		sum += b
 	}
 	return sum, nil
-}
-
-// poolsRefilled waits until every pooled gatewayd is back at target
-// depth, so the background refill a window caused is inside the CPU
-// sample that follows.
-func (f *fleet) poolsRefilled(w *workload, timeout time.Duration) error {
-	if w.PoolDepth == 0 {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	for _, g := range f.gateways {
-		for !g.ready(w, 0) {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%s pool not refilled after %v", g.name, timeout)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -53,8 +54,9 @@ type tracer struct {
 	spans   []span
 	counter *cycles.Counter
 	// allocs makes the tracer count allocations of the calls that ask
-	// for it. That costs two collections per call, so allocations are
-	// counted in a pass of their own, never in the timed one.
+	// for it. That costs repeated runs and collections per call, so
+	// allocations are counted in a pass of their own, never in the timed
+	// one.
 	allocs bool
 }
 
@@ -63,24 +65,18 @@ func newTracer(counter *cycles.Counter, allocs bool) *tracer {
 }
 
 // call runs fn as span name under parent. When counting allocations it
-// runs fn on a single P, first empties the sync.Pools (two collections)
-// and holds the collector off during the call, so the count depends
-// neither on when the last collection happened nor on which P a pooled
-// buffer was returned to.
+// then runs fn allocRuns more times on a single P, each time after
+// emptying the sync.Pools (two collections) and with the collector held
+// off, so the count depends neither on when the last collection
+// happened nor on which P a pooled buffer was returned to. The runtime
+// now and then adds a heap object of its own to the process-wide count
+// during a call (about one call in twenty, by one); that only ever adds,
+// so the call's count is the least of the runs.
 func (t *tracer) call(session, parent int, name string, allocs bool, fn func() error) (int, time.Duration, error) {
 	if t == nil {
 		start := time.Now()
 		err := fn()
 		return 0, time.Since(start), err
-	}
-	var m0, m1 runtime.MemStats
-	allocs = allocs && t.allocs
-	if allocs {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		runtime.GC()
-		runtime.GC()
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		runtime.ReadMemStats(&m0)
 	}
 	c0 := t.counter.Total()
 	start := time.Now()
@@ -91,12 +87,35 @@ func (t *tracer) call(session, parent int, name string, allocs bool, fn func() e
 		StartNs: start.Sub(t.t0).Nanoseconds(), DurNs: d.Nanoseconds(),
 		Cycles: t.counter.Total() - c0,
 	}
-	if allocs {
-		runtime.ReadMemStats(&m1)
-		sp.Allocs, sp.counted = m1.Mallocs-m0.Mallocs, true
+	if allocs && t.allocs {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		sp.Allocs, sp.counted = math.MaxUint64, true
+		for range allocRuns {
+			n, rerr := mallocs(fn)
+			if (rerr == nil) != (err == nil) {
+				return 0, 0, fmt.Errorf("%s: a repeated run returned %v, the first %v", name, rerr, err)
+			}
+			sp.Allocs = min(sp.Allocs, n)
+		}
 	}
 	t.spans = append(t.spans, sp)
 	return sp.ID, d, err
+}
+
+// allocRuns is how many times an allocation-counted call is repeated.
+const allocRuns = 3
+
+// mallocs runs fn with the sync.Pools emptied and returns the number of
+// heap allocations made while it ran.
+func mallocs(fn func() error) (uint64, error) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	err := fn()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs, err
 }
 
 // setUnits records the work units of span id.
@@ -130,7 +149,6 @@ var policyModules = []struct {
 
 // replayer holds the in-process platform a replay provisions on.
 type replayer struct {
-	w        *workload
 	pols     *engarde.PolicySet
 	mods     map[string]policy.Module // metric key → module, in the workload's set
 	counter  *cycles.Counter
@@ -147,7 +165,7 @@ type replayer struct {
 }
 
 func newReplayer(w *workload) (*replayer, error) {
-	r := &replayer{w: w, mods: map[string]policy.Module{}, block: w.BlockSize, workers: runtime.GOMAXPROCS(0)}
+	r := &replayer{mods: map[string]policy.Module{}, block: w.BlockSize, workers: runtime.GOMAXPROCS(0)}
 	if r.block <= 0 {
 		r.block = 64 * 1024
 	}
@@ -183,8 +201,8 @@ func (r *replayer) enclaveConfig(fn *engarde.FnCache) engarde.EnclaveConfig {
 }
 
 // pass is one replay of the session list. Like a gatewayd, it shares
-// one function-result cache across its sessions, and pooled workloads
-// clone their enclaves from a snapshot configured with that cache.
+// one function-result cache across its sessions; a traced pass also
+// holds an enclave snapshot to time the pool's clone and scrub against.
 type pass struct {
 	t    *tracer // nil: untraced
 	fn   *engarde.FnCache
@@ -197,7 +215,7 @@ func (r *replayer) newPass(t *tracer) (*pass, error) {
 		return nil, err
 	}
 	p := &pass{t: t, fn: fn}
-	if r.w.PoolDepth > 0 || t != nil {
+	if t != nil {
 		if p.snap, err = r.provider.NewEnclaveSnapshot(r.enclaveConfig(fn)); err != nil {
 			fn.Close()
 			return nil, err
@@ -218,10 +236,10 @@ type sessionResult struct {
 }
 
 // replaySession provisions one input through the layers in gateway
-// order: enclave (measured build, or pool clone scrubbed afterwards),
-// attestation, key exchange, encrypted stream, provisioning, then each
-// layer's own entry points on the same image. extras adds, once per
-// replay, the enclave path this workload's gateway does not take.
+// order: measured enclave build, attestation, key exchange, encrypted
+// stream, provisioning, then each layer's own entry points on the same
+// image. extras adds, once per replay, the pool's clone and scrub, which
+// no workload's gatewayd runs.
 func (r *replayer) replaySession(p *pass, s int, in *input, extras bool) (*sessionResult, error) {
 	t := p.t
 	res := &sessionResult{}
@@ -238,48 +256,27 @@ func (r *replayer) replaySession(p *pass, s int, in *input, extras bool) (*sessi
 		}
 	}
 
-	pooled := r.w.PoolDepth > 0
 	var encl *engarde.Enclave
-	build := func() error {
+	if extras && t != nil {
+		if _, _, err := t.call(s, root, "core.clone", false, func() error {
+			var err error
+			encl, err = p.snap.Clone()
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		if err := r.recycle(p, s, root, encl); err != nil {
+			return nil, err
+		}
+	}
+	if _, _, err := t.call(s, root, "core.create", false, func() error {
 		var err error
 		encl, err = r.provider.CreateEnclave(r.enclaveConfig(p.fn))
 		return err
-	}
-	clone := func() error {
-		var err error
-		encl, err = p.snap.Clone()
-		return err
-	}
-	if extras && t != nil {
-		if pooled {
-			_, _, err := t.call(s, root, "core.create", false, build)
-			if err != nil {
-				return nil, err
-			}
-			encl.Destroy()
-		} else {
-			if _, _, err := t.call(s, root, "core.clone", false, clone); err != nil {
-				return nil, err
-			}
-			if err := r.recycle(p, s, root, encl); err != nil {
-				return nil, err
-			}
-		}
-	}
-	name, get := "core.create", build
-	if pooled {
-		name, get = "core.clone", clone
-	}
-	if _, _, err := t.call(s, root, name, false, get); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	defer func() {
-		if pooled && t != nil {
-			_ = r.recycle(p, s, root, encl)
-			return
-		}
-		encl.Destroy()
-	}()
+	defer encl.Destroy()
 
 	// Attestation and key exchange, client side included.
 	var q engarde.Quote
@@ -518,16 +515,32 @@ func (r *replayer) channel(t *tracer, s, root int, in *input) error {
 		return err
 	}
 	t.setUnits(openID, int64(len(in.Image)))
-	cs, es, err = pair()
-	if err != nil {
-		return err
+	// A receive advances its session's sequence, so every run of the
+	// call gets a session and stream of its own.
+	type stream struct {
+		es   *secchan.Session
+		wire []byte
 	}
-	var wire bytes.Buffer
-	if err := cs.SendStream(&wire, in.Image, r.block); err != nil {
-		return err
+	streams := make([]stream, 1)
+	if t.allocs {
+		streams = make([]stream, 1+allocRuns)
 	}
+	for i := range streams {
+		cs, es, err := pair()
+		if err != nil {
+			return err
+		}
+		var wire bytes.Buffer
+		if err := cs.SendStream(&wire, in.Image, r.block); err != nil {
+			return err
+		}
+		streams[i] = stream{es, wire.Bytes()}
+	}
+	run := 0
 	recvID, _, err := t.call(s, root, "secchan.recv", true, func() error {
-		_, err := es.RecvStream(bytes.NewReader(wire.Bytes()))
+		st := streams[run]
+		run++
+		_, err := st.es.RecvStream(bytes.NewReader(st.wire))
 		return err
 	})
 	// The stream is a length-header frame plus the data frames.

@@ -29,10 +29,6 @@ type gatewayStats struct {
 		Hits   uint64 `json:"hits"`
 		Misses uint64 `json:"misses"`
 	} `json:"fn_cache"`
-	Pool *struct {
-		Warm uint64 `json:"warm_checkouts"`
-		Cold uint64 `json:"cold_checkouts"`
-	} `json:"pool"`
 }
 
 type routerStats struct {
@@ -144,9 +140,7 @@ type layerReport struct {
 }
 
 // perLayer lists the per-layer metrics of the result line and their
-// units, in BENCHMARK.json order. The report also carries the figures
-// only fleet-repeat produces (router.*, gateway.pool_warm_ratio,
-// gen.late_p90_ms); that workload is not in BENCHMARK.json.
+// units, in BENCHMARK.json order.
 var perLayer = []struct{ name, unit string }{
 	{"secchan.keygen_ms", "ms"}, {"secchan.open_mb_s", "MB/s"}, {"secchan.seal_mb_s", "MB/s"},
 	{"secchan.recv_allocs_per_frame", "count"},
@@ -164,6 +158,7 @@ var perLayer = []struct{ name, unit string }{
 	{"policy.cycles", "cycles"},
 	{"memo.fn_hit_ratio", "ratio"}, {"memo.probe_us", "us"},
 	{"gateway.queue_wait_p50_ms", "ms"}, {"gateway.verdict_hit_ratio", "ratio"}, {"gateway.shed_total", "count"},
+	{"router.affinity_ratio", "ratio"}, {"router.peek_dial_ms", "ms"}, {"router.splice_overhead_ms", "ms"},
 	{"client.retries", "count"},
 	{"unattributed_ms", "ms"}, {"obs.tracing_overhead_pct", "%"},
 }
@@ -230,11 +225,10 @@ func (l *layerReport) set(name string, q Quantile) {
 // the traced window, joining client sessions to daemon traces on the
 // client-originated trace ID.
 func (l *layerReport) fromWindow(w *workload, outs []*outcome, sc *scrape) {
-	var upload, exposed, late, queue, peekDial, splice, unattr []time.Duration
+	var upload, exposed, queue, peekDial, splice, unattr []time.Duration
 	retries := 0
 	for _, o := range outs {
 		retries += o.Retries
-		late = append(late, max(0, o.Began.Sub(o.Start)))
 		if !o.ok() {
 			continue
 		}
@@ -259,7 +253,6 @@ func (l *layerReport) fromWindow(w *workload, outs []*outcome, sc *scrape) {
 	}
 	l.set("stream.upload_ms", nearestRank(sortedMillis(upload), 0.5))
 	l.set("stream.exposed_ms", nearestRank(sortedMillis(exposed), 0.5))
-	l.set("gen.late_p90_ms", nearestRank(sortedMillis(late), 0.9))
 	l.Values["client.retries"] = float64(retries)
 	l.set("gateway.queue_wait_p50_ms", nearestRank(sortedMillis(queue), 0.5))
 	l.set("unattributed_ms", nearestRank(sortedMillis(unattr), 0.5))
@@ -271,7 +264,7 @@ func (l *layerReport) fromWindow(w *workload, outs []*outcome, sc *scrape) {
 		}
 	}
 
-	var hits, misses, fnHits, fnMisses, shed, warm, cold uint64
+	var hits, misses, fnHits, fnMisses, shed uint64
 	for _, g := range sc.gateways {
 		hits += g.CacheHits
 		misses += g.CacheMisses
@@ -280,10 +273,6 @@ func (l *layerReport) fromWindow(w *workload, outs []*outcome, sc *scrape) {
 			fnHits += g.FnCache.Hits
 			fnMisses += g.FnCache.Misses
 		}
-		if g.Pool != nil {
-			warm += g.Pool.Warm
-			cold += g.Pool.Cold
-		}
 	}
 	l.Values["gateway.shed_total"] = float64(shed)
 	if hits+misses > 0 {
@@ -291,9 +280,6 @@ func (l *layerReport) fromWindow(w *workload, outs []*outcome, sc *scrape) {
 	}
 	if fnHits+fnMisses > 0 {
 		l.Values["memo.fn_hit_ratio"] = float64(fnHits) / float64(fnHits+fnMisses)
-	}
-	if w.PoolDepth > 0 && warm+cold > 0 {
-		l.Values["gateway.pool_warm_ratio"] = float64(warm) / float64(warm+cold)
 	}
 }
 
