@@ -23,7 +23,7 @@ func replayInputs(t *testing.T, w *workload, seed int64) []*input {
 // seed and requires every exact count — cycle-model charges, decoded
 // instructions, allocations per layer call — to repeat exactly.
 func TestLedgerRepeatsForSeed(t *testing.T) {
-	for _, name := range []string{"cold-mixed", "fleet-repeat", "wan-stream"} {
+	for _, name := range []string{"cold-mixed", "fleet-repeat"} {
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && name != "cold-mixed" {
 				t.Skip("replays large images; run without -short")

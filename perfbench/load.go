@@ -10,46 +10,26 @@ import (
 	"engarde/internal/obs"
 )
 
-// linkConn is the client's side of one session's connection. It counts
-// the protocol's framed writes to find where the image stream starts,
-// stamps the first and last image writes, and — when the workload has a
-// paced uplink — holds each write until the emulated link would have
-// carried it.
-type linkConn struct {
+// stampConn is the client's side of one session's connection. It counts
+// the protocol's framed writes to find where the image stream starts and
+// stamps the first and last image writes.
+type stampConn struct {
 	net.Conn
-	rate float64 // bytes per second; 0 = unpaced
 
 	// contentWrite is the index of the first write of the image stream:
 	// every framed block is two writes (length header, body), and the
 	// stream follows the optional routing preamble and the wrapped key.
 	contentWrite int
 	writes       int
-	linkFree     time.Time
 	firstImage   time.Time
 	lastImage    time.Time
 }
 
-// paceSlack is how late a write may start and still count as
-// back-to-back with the previous one, so sleep overshoot is absorbed
-// instead of accumulating into the emulated link rate.
-const paceSlack = 5 * time.Millisecond
-
-func (c *linkConn) Write(b []byte) (int, error) {
-	now := time.Now()
+func (c *stampConn) Write(b []byte) (int, error) {
 	if c.writes == c.contentWrite {
-		c.firstImage = now
+		c.firstImage = time.Now()
 	}
 	c.writes++
-	if c.rate > 0 {
-		begin := now
-		if !c.linkFree.IsZero() && now.Sub(c.linkFree) < paceSlack {
-			begin = c.linkFree
-		}
-		c.linkFree = begin.Add(time.Duration(float64(len(b)) / c.rate * float64(time.Second)))
-		if d := time.Until(c.linkFree); d > 0 {
-			time.Sleep(d)
-		}
-	}
 	n, err := c.Conn.Write(b)
 	c.lastImage = time.Now()
 	return n, err
@@ -99,7 +79,6 @@ func newGenerator(w *workload, f *fleet, traced bool) (*generator, error) {
 	g := &generator{w: w, addr: f.entry(), traced: traced}
 	g.client = engarde.Client{
 		Expected: expected, PlatformKey: keys[0], PlatformKeys: keys[1:],
-		BlockSize: w.BlockSize,
 	}
 	if w.Router {
 		g.client.Route = &engarde.RouteHello{Tenant: "perfbench"}
@@ -130,7 +109,7 @@ func (g *generator) session(in *input) *outcome {
 			break
 		}
 		o.Dialed = time.Now()
-		lc := &linkConn{Conn: conn, rate: float64(g.w.LinkBytesPerSec), contentWrite: contentWrite}
+		lc := &stampConn{Conn: conn, contentWrite: contentWrite}
 		var v engarde.Verdict
 		if g.traced {
 			tr := obs.NewTrace("provision", nil)

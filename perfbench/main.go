@@ -8,7 +8,7 @@
 // Usage (run.sh builds the daemons and this program first):
 //
 //	perfbench -bin <dir with engarde-gatewayd, engarde-router> \
-//	          -workload cold-mixed|fleet-repeat|wan-stream \
+//	          -workload cold-mixed|fleet-repeat \
 //	          -seed 1 -seconds 20 -trace 0
 //
 // See README.md beside this file for what each workload exercises and
@@ -42,7 +42,7 @@ type options struct {
 func main() {
 	var o options
 	var trace int
-	flag.StringVar(&o.workload, "workload", "", "workload to run: cold-mixed, fleet-repeat or wan-stream")
+	flag.StringVar(&o.workload, "workload", "", "workload to run: cold-mixed or fleet-repeat")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for every generated input")
 	flag.IntVar(&o.seconds, "seconds", 20, "length of the measured window")
 	flag.IntVar(&trace, "trace", 0, "1 = report per-layer metrics from a traced run instead of end-to-end metrics")
@@ -138,7 +138,7 @@ func (r *report) result() result {
 func run(o options) (*report, error) {
 	w, ok := workloads[o.workload]
 	if !ok {
-		return nil, fmt.Errorf("unknown workload %q (want cold-mixed, fleet-repeat or wan-stream)", o.workload)
+		return nil, fmt.Errorf("unknown workload %q (want cold-mixed or fleet-repeat)", o.workload)
 	}
 	if o.seconds < 1 {
 		return nil, errors.New("-seconds must be at least 1")

@@ -154,7 +154,6 @@ type replayer struct {
 	counter  *cycles.Counter
 	provider *engarde.Provider
 	expected engarde.Measurement
-	block    int
 	// workers is the disassembly fan-out a gatewayd on the same host uses
 	// (GOMAXPROCS), fixed here so the single-P allocation pass decodes
 	// the same way.
@@ -164,11 +163,12 @@ type replayer struct {
 	key *secchan.EnclaveKey
 }
 
+// protocolBlockSize is the client's default frame payload, the one every
+// workload sends with.
+const protocolBlockSize = 64 * 1024
+
 func newReplayer(w *workload) (*replayer, error) {
-	r := &replayer{mods: map[string]policy.Module{}, block: w.BlockSize, workers: runtime.GOMAXPROCS(0)}
-	if r.block <= 0 {
-		r.block = 64 * 1024
-	}
+	r := &replayer{mods: map[string]policy.Module{}, workers: runtime.GOMAXPROCS(0)}
 	var err error
 	if r.pols, err = engarde.ParsePolicies(w.Policies); err != nil {
 		return nil, err
@@ -305,7 +305,7 @@ func (r *replayer) replaySession(p *pass, s int, in *input, extras bool) (*sessi
 	}
 	var wire bytes.Buffer
 	sealID, _, err := t.call(s, root, "secchan.seal", false, func() error {
-		return sess.SendStream(&wire, in.Image, r.block)
+		return sess.SendStream(&wire, in.Image, protocolBlockSize)
 	})
 	if err != nil {
 		return nil, err
@@ -496,8 +496,8 @@ func (r *replayer) channel(t *tracer, s, root int, in *input) error {
 		return err
 	}
 	var frames [][]byte
-	for off := 0; off < len(in.Image); off += r.block {
-		ct, err := cs.Seal(in.Image[off:min(off+r.block, len(in.Image))])
+	for off := 0; off < len(in.Image); off += protocolBlockSize {
+		ct, err := cs.Seal(in.Image[off:min(off+protocolBlockSize, len(in.Image))])
 		if err != nil {
 			return err
 		}
@@ -531,7 +531,7 @@ func (r *replayer) channel(t *tracer, s, root int, in *input) error {
 			return err
 		}
 		var wire bytes.Buffer
-		if err := cs.SendStream(&wire, in.Image, r.block); err != nil {
+		if err := cs.SendStream(&wire, in.Image, protocolBlockSize); err != nil {
 			return err
 		}
 		streams[i] = stream{es, wire.Bytes()}

@@ -83,10 +83,6 @@ type workload struct {
 	Policies string
 	// Clients is the number of connections in flight (at most nproc).
 	Clients int
-	// BlockSize and LinkBytesPerSec shape the client's uplink (0 = the
-	// protocol default frame size, unpaced loopback).
-	BlockSize       int
-	LinkBytesPerSec int
 	// Warmup sessions run before the window on their own images.
 	Warmup int
 	// SetupRuns is how many times a run boots the topology; setup_s is
@@ -97,9 +93,8 @@ type workload struct {
 	Replay int
 	// MaxRate is the session rate, per second, the inputs built before
 	// the window cover: about three times the rate measured when the
-	// benchmark was written (wan-stream: the most its paced link can
-	// carry). A faster program ends the window early, when they run out,
-	// instead of building images inside it.
+	// benchmark was written. A faster program ends the window early,
+	// when they run out, instead of building images inside it.
 	MaxRate float64
 
 	// images builds inputs [lo, hi) of the seed's sequence.
@@ -129,19 +124,8 @@ var workloads = map[string]*workload{
 	"fleet-repeat": {
 		Name: "fleet-repeat", Backends: 2, Router: true,
 		Policies: defaultPolicies,
-		Clients:  2, Warmup: 1, SetupRuns: 10, Replay: 3, MaxRate: 12,
+		Clients:  2, Warmup: 1, SetupRuns: 14, Replay: 3, MaxRate: 12,
 		images: fleetImages,
-	},
-	// Large images over a paced WAN uplink in 32 KiB frames: the
-	// streaming pipeline's transfer/decode overlap.
-	"wan-stream": {
-		Name: "wan-stream", Backends: 1,
-		Policies: defaultPolicies,
-		Clients:  1, Warmup: 1, SetupRuns: 14, Replay: 3,
-		BlockSize: 32 * 1024, LinkBytesPerSec: 3_500_000,
-		// 3.5 MB/s over ~1.24 MB images.
-		MaxRate: 2.9,
-		images:  wanStreamImages,
 	},
 }
 
@@ -215,22 +199,6 @@ func coldMixedImages(seed int64, lo, hi int) ([]*input, error) {
 			StackProtector: in.Kind != kindNoCanary,
 			EmitSyscall:    in.Kind == kindSyscall,
 			MixedCodeData:  in.Kind == kindMixed,
-		}
-	})
-	return ins, err
-}
-
-// wanStreamImages: BENCH_8-shape images (~1.2 MiB, ~250k instructions),
-// stack-protected and byte-distinct.
-func wanStreamImages(seed int64, lo, hi int) ([]*input, error) {
-	ins := make([]*input, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		ins = append(ins, &input{Index: i, Seed: subSeed(seed, 3, i), Kind: kindCompliant})
-	}
-	err := buildAll(ins, func(in *input) toolchain.Config {
-		return toolchain.Config{
-			Name: fmt.Sprintf("ws%d", in.Index), Seed: in.Seed,
-			NumFuncs: 1920, AvgFuncInsts: 100, StackProtector: true,
 		}
 	})
 	return ins, err
