@@ -233,6 +233,32 @@ func NewOnDevice(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 	// in the provisioning phase; the span attributes them to this session.
 	sp := cfg.Trace.StartPhase("create-enclave")
 	defer sp.End()
+	g, err := build(cfg, dev)
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := dev.EEnter(g.encl)
+	if err != nil {
+		return nil, err
+	}
+	g.ctx = ctx
+
+	// "The bootstrap code loaded into a freshly-created enclave first
+	// generates a 2048-bit RSA key pair" (§3).
+	key, err := secchan.GenerateEnclaveKey(cfg.Counter)
+	if err != nil {
+		return nil, err
+	}
+	g.key = key
+	return g, nil
+}
+
+// enclavePages is the number of EPC pages the measured build commits.
+func (c *Config) enclavePages() int { return bootPages + c.HeapPages + c.ClientPages }
+
+// build performs the measured build on dev: ECREATE, EADD+EEXTEND of the
+// bootstrap, heap and client pages, and EINIT. cfg has defaults applied.
+func build(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 	g := &EnGarde{cfg: cfg, dev: dev}
 	g.drv = hostos.NewDriver(dev)
 	g.proc = hostos.NewProcess()
@@ -242,13 +268,12 @@ func NewOnDevice(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 		g.proc.FaultHandler = g.drv.HandleEPCFault
 	}
 
-	totalPages := bootPages + cfg.HeapPages + cfg.ClientPages
 	g.layout = Layout{
 		Base:       enclaveBase,
 		BootBase:   enclaveBase,
 		HeapBase:   enclaveBase + bootPages*sgx.PageSize,
 		ClientBase: enclaveBase + uint64(bootPages+cfg.HeapPages)*sgx.PageSize,
-		Size:       uint64(totalPages) * sgx.PageSize,
+		Size:       uint64(cfg.enclavePages()) * sgx.PageSize,
 	}
 
 	dev.SetPhase(cycles.PhaseProvision)
@@ -269,7 +294,7 @@ func NewOnDevice(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 	// Heap and client regions: rw- in page tables; the EPCM keeps RWX at
 	// build time so the kernel component can later *restrict* client text
 	// pages to r-x (EMODPR can only remove permissions).
-	for p := bootPages; p < bootPages+cfg.HeapPages+cfg.ClientPages; p++ {
+	for p := bootPages; p < cfg.enclavePages(); p++ {
 		va := g.layout.Base + uint64(p)*sgx.PageSize
 		if err := g.drv.AddMeasuredPage(g.proc, encl, va,
 			sgx.PermR|sgx.PermW|sgx.PermX, hostos.PermR|hostos.PermW, nil); err != nil {
@@ -279,19 +304,6 @@ func NewOnDevice(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 	if err := g.drv.InitEnclave(encl); err != nil {
 		return nil, err
 	}
-	ctx, err := dev.EEnter(encl)
-	if err != nil {
-		return nil, err
-	}
-	g.ctx = ctx
-
-	// "The bootstrap code loaded into a freshly-created enclave first
-	// generates a 2048-bit RSA key pair" (§3).
-	key, err := secchan.GenerateEnclaveKey(cfg.Counter)
-	if err != nil {
-		return nil, err
-	}
-	g.key = key
 	return g, nil
 }
 
@@ -299,19 +311,17 @@ func NewOnDevice(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 // EnGarde enclave with this configuration must have. Clients call this
 // (over code they have inspected) to know what to demand in the quote.
 func ExpectedMeasurement(cfg Config) (sgx.Measurement, error) {
-	cfg.applyDefaults()
-	// Measurements do not depend on device keys, so replaying the build on
-	// a scratch device yields the production enclave's measurement.
-	scratch, err := sgx.NewDevice(sgx.Config{EPCPages: cfg.EPCPages, Version: cfg.Version})
+	// Measurements depend on neither device keys nor EPC size, so
+	// replaying the measured build on a scratch device that just fits the
+	// enclave yields the production enclave's measurement. The ephemeral
+	// RSA key is not measured, so none is generated.
+	bare := Config{Version: cfg.Version, HeapPages: cfg.HeapPages, ClientPages: cfg.ClientPages}
+	bare.applyDefaults()
+	scratch, err := sgx.NewDevice(sgx.Config{EPCPages: bare.enclavePages(), Version: bare.Version})
 	if err != nil {
 		return sgx.Measurement{}, err
 	}
-	g, err := NewOnDevice(Config{
-		Version:     cfg.Version,
-		EPCPages:    cfg.EPCPages,
-		HeapPages:   cfg.HeapPages,
-		ClientPages: cfg.ClientPages,
-	}, scratch)
+	g, err := build(bare, scratch)
 	if err != nil {
 		return sgx.Measurement{}, err
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"engarde/internal/cycles"
@@ -101,11 +102,15 @@ func Load(f *elf64.File, mem Memory, cfg Config) (*Result, error) {
 			continue
 		}
 		charge(cycles.UnitSegmentMap, 1)
-		start := cfg.Base + ph.Vaddr
-		if cfg.Limit > 0 && ph.Vaddr+ph.Memsz > cfg.Limit {
+		// Vaddr and Memsz are client-supplied: a sum that wraps would pass
+		// the Limit check and then size the bss below at nearly 2^64.
+		end, wrapEnd := bits.Add64(ph.Vaddr, ph.Memsz, 0)
+		_, wrapBase := bits.Add64(cfg.Base, end, 0)
+		if wrapEnd|wrapBase != 0 || cfg.Limit > 0 && end > cfg.Limit {
 			return nil, fmt.Errorf("%w: segment %#x+%#x > limit %#x",
 				ErrImageTooLarge, ph.Vaddr, ph.Memsz, cfg.Limit)
 		}
+		start := cfg.Base + ph.Vaddr
 		if ph.Filesz > 0 {
 			src, err := f.DataAt(ph.Vaddr, ph.Filesz)
 			if err != nil {
@@ -123,19 +128,19 @@ func Load(f *elf64.File, mem Memory, cfg Config) (*Result, error) {
 			}
 			charge(cycles.UnitCopiedByte, uint64(len(zero)))
 		}
-		// Record page dispositions.
-		first := start &^ uint64(PageSize-1)
-		last := (start + ph.Memsz - 1) &^ uint64(PageSize-1)
-		for page := first; page <= last; page += PageSize {
-			if ph.Flags&elf64.PFX != 0 {
-				execSet[page] = true
-			} else {
-				dataSet[page] = true
+		// Record page dispositions; an empty segment covers no page.
+		if ph.Memsz > 0 {
+			first := start &^ uint64(PageSize-1)
+			last := (cfg.Base + end - 1) &^ uint64(PageSize-1)
+			for page := first; page <= last; page += PageSize {
+				if ph.Flags&elf64.PFX != 0 {
+					execSet[page] = true
+				} else {
+					dataSet[page] = true
+				}
 			}
 		}
-		if end := ph.Vaddr + ph.Memsz; end > maxEnd {
-			maxEnd = end
-		}
+		maxEnd = max(maxEnd, end)
 	}
 
 	// Apply relocations from the .dynamic section's RELA table.

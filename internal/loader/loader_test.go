@@ -181,3 +181,48 @@ func TestLoadUnalignedBase(t *testing.T) {
 		t.Error("unaligned base must be rejected")
 	}
 }
+
+// TestLoadRejectsWrappingSegment feeds Load a toolchain-built binary whose
+// data PT_LOAD has its Memsz patched so that Vaddr+Memsz wraps uint64 to
+// one page. The wrapped end passes a plain Limit comparison, after which
+// the bss tail Memsz-Filesz is close to 2^64 bytes. Load must fail closed
+// with ErrImageTooLarge, with or without a Limit, and must not panic.
+func TestLoadRejectsWrappingSegment(t *testing.T) {
+	bin, f := buildBin(t)
+	data := -1
+	for i, ph := range f.Progs {
+		if ph.Type == elf64.PTLoad && ph.Flags&elf64.PFW != 0 {
+			data = i
+		}
+	}
+	if data < 0 {
+		t.Fatal("binary has no writable PT_LOAD segment")
+	}
+	img := append([]byte(nil), bin.Image...)
+	memsz := PageSize - f.Progs[data].Vaddr // Vaddr+Memsz wraps to PageSize
+	phoff := binary.LittleEndian.Uint64(img[32:])
+	const memszOff = 40 // p_memsz within an Elf64_Phdr
+	binary.LittleEndian.PutUint64(img[phoff+uint64(data)*elf64.PhdrSize+memszOff:], memsz)
+	bad, err := elf64.Parse(img)
+	if err != nil {
+		t.Fatalf("patched image no longer parses: %v", err)
+	}
+	if got := bad.Progs[data].Memsz; got != memsz {
+		t.Fatalf("patch missed: Memsz = %#x, want %#x", got, memsz)
+	}
+	for _, limit := range []uint64{0, 1 << 20} {
+		mem := newMemBuf(0x200000, 4<<20)
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Limit %#x: Load panicked: %v", limit, r)
+				}
+			}()
+			_, err = Load(bad, mem, Config{Base: 0x200000, Limit: limit})
+		}()
+		if !errors.Is(err, ErrImageTooLarge) {
+			t.Errorf("Limit %#x: Load = %v, want ErrImageTooLarge", limit, err)
+		}
+	}
+}

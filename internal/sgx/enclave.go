@@ -4,11 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 )
 
 // Measurement is an enclave measurement (MRENCLAVE), the SHA-256 digest of
 // the log of all build-time activities (ECREATE/EADD/EEXTEND), as produced
-// by the quoting flow in the paper's §2.
+// by the quoting flow in the paper's §2. As on hardware, the digest runs:
+// each build instruction hashes its record as it executes and EINIT only
+// finalizes the sum, so the log itself is never stored.
 type Measurement [sha256.Size]byte
 
 // Enclave is a linear span of some process's address space whose pages are
@@ -22,7 +25,7 @@ type Enclave struct {
 	// pages maps page-aligned virtual addresses to EPC slots.
 	pages map[uint64]int
 
-	mrLog       []byte // measurement log, hashed at EINIT
+	mr          hash.Hash // running MRENCLAVE hash until EINIT, then nil
 	mrEnclave   Measurement
 	initialized bool
 	// evictVer is the monotone per-page eviction counter (never reset —
@@ -109,8 +112,8 @@ func (e *Enclave) PagePerm(addr uint64) (Perm, error) {
 // Lifecycle instructions (each charged as one SGX instruction).
 //
 
-// ECreate allocates a new enclave covering [base, base+size) and opens its
-// measurement log. size must be a multiple of the page size.
+// ECreate allocates a new enclave covering [base, base+size) and starts its
+// measurement. size must be a multiple of the page size.
 func (d *Device) ECreate(base, size uint64) (*Enclave, error) {
 	if size == 0 || size%PageSize != 0 || base%PageSize != 0 {
 		return nil, fmt.Errorf("%w: base %#x size %#x not page-aligned", ErrBadAddress, base, size)
@@ -124,20 +127,21 @@ func (d *Device) ECreate(base, size uint64) (*Enclave, error) {
 		base:  base,
 		size:  size,
 		pages: make(map[uint64]int),
+		mr:    sha256.New(),
 	}
 	d.nextID++
 	d.enclaves[e.id] = e
-	// Measurement log starts with the ECREATE record.
-	var rec [24]byte
+	// The measurement starts with the ECREATE record.
+	rec := d.scratch.rec[:24]
 	copy(rec[:8], "ECREATE\x00")
 	binary.LittleEndian.PutUint64(rec[8:], base)
 	binary.LittleEndian.PutUint64(rec[16:], size)
-	e.mrLog = append(e.mrLog, rec[:]...)
+	e.mr.Write(rec)
 	return e, nil
 }
 
 // EAdd copies a 4 KiB source page into a free EPC page, records it in the
-// EPCM with the given permissions, and extends the measurement log with the
+// EPCM with the given permissions, and extends the measurement with the
 // page's metadata. Content is measured separately via EExtend, as on real
 // hardware.
 func (d *Device) EAdd(e *Enclave, vaddr uint64, perm Perm, ptype PageType, content []byte) error {
@@ -171,22 +175,20 @@ func (d *Device) EAdd(e *Enclave, vaddr uint64, perm Perm, ptype PageType, conte
 	if err != nil {
 		return err
 	}
-	var page [PageSize]byte
-	copy(page[:], content)
-	ct := d.pageCrypt(slot, e.id, page[:])
-	copy(d.epc[slot].data[:], ct)
-	d.epc[slot] = epcPage{
-		data:  d.epc[slot].data,
-		valid: true, owner: e.id, vaddr: vaddr, perm: perm, ptype: ptype,
-	}
+	pg := &d.epc[slot]
+	pg.setEPCM(e.id, vaddr, perm, ptype)
+	clear(pg.data[copy(pg.data[:], content):]) // zero-fill a short source
+	d.cryptPage(slot, e.id, 0, pg.data[:])
 	e.pages[vaddr] = slot
 
-	var rec [24]byte
-	copy(rec[:8], "EADD\x00\x00\x00\x00")
-	binary.LittleEndian.PutUint64(rec[8:], vaddr)
-	binary.LittleEndian.PutUint32(rec[16:], uint32(perm))
-	binary.LittleEndian.PutUint32(rec[20:], uint32(ptype))
-	e.mrLog = append(e.mrLog, rec[:]...)
+	if e.mr != nil {
+		rec := d.scratch.rec[:24]
+		copy(rec[:8], "EADD\x00\x00\x00\x00")
+		binary.LittleEndian.PutUint64(rec[8:], vaddr)
+		binary.LittleEndian.PutUint32(rec[16:], uint32(perm))
+		binary.LittleEndian.PutUint32(rec[20:], uint32(ptype))
+		e.mr.Write(rec)
+	}
 	return nil
 }
 
@@ -194,7 +196,7 @@ func (d *Device) EAdd(e *Enclave, vaddr uint64, perm Perm, ptype PageType, conte
 const extendChunk = 256
 
 // EExtend measures one 256-byte chunk of an added page into the enclave's
-// measurement log.
+// measurement.
 func (d *Device) EExtend(e *Enclave, vaddr uint64, offset uint64) error {
 	if offset%extendChunk != 0 || offset+extendChunk > PageSize {
 		return fmt.Errorf("%w: EEXTEND offset %#x", ErrBadAddress, offset)
@@ -206,18 +208,19 @@ func (d *Device) EExtend(e *Enclave, vaddr uint64, offset uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: EEXTEND %#x", ErrPageNotMapped, vaddr)
 	}
-	pt := d.pageCrypt(slot, e.id, d.epc[slot].data[:])
-	var rec [16]byte
-	copy(rec[:8], "EEXTEND\x00")
-	binary.LittleEndian.PutUint64(rec[8:], vaddr+offset)
-	e.mrLog = append(e.mrLog, rec[:]...)
-	e.mrLog = append(e.mrLog, pt[offset:offset+extendChunk]...)
+	if e.mr == nil {
+		return nil
+	}
+	chunk := d.scratch.page[:extendChunk]
+	copy(chunk, d.epc[slot].data[offset:])
+	d.cryptPage(slot, e.id, int(offset), chunk)
+	d.extendLocked(e, vaddr+offset, chunk)
 	return nil
 }
 
 // EExtendPage measures a whole page. It is semantically identical to 16
-// consecutive EEXTENDs (same measurement log, same 16-instruction charge)
-// but decrypts the page once.
+// consecutive EEXTENDs (same measurement, same 16-instruction charge) but
+// decrypts the page once.
 func (d *Device) EExtendPage(e *Enclave, vaddr uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -226,19 +229,31 @@ func (d *Device) EExtendPage(e *Enclave, vaddr uint64) error {
 		return fmt.Errorf("%w: EEXTEND %#x", ErrPageNotMapped, vaddr)
 	}
 	d.chargeLocked(PageSize / extendChunk)
-	pt := d.pageCrypt(slot, e.id, d.epc[slot].data[:])
+	if e.mr == nil {
+		return nil
+	}
+	pt := d.scratch.page[:]
+	copy(pt, d.epc[slot].data[:])
+	d.cryptPage(slot, e.id, 0, pt)
 	for off := uint64(0); off < PageSize; off += extendChunk {
-		var rec [16]byte
-		copy(rec[:8], "EEXTEND\x00")
-		binary.LittleEndian.PutUint64(rec[8:], vaddr+off)
-		e.mrLog = append(e.mrLog, rec[:]...)
-		e.mrLog = append(e.mrLog, pt[off:off+extendChunk]...)
+		d.extendLocked(e, vaddr+off, pt[off:off+extendChunk])
 	}
 	return nil
 }
 
+// extendLocked hashes one EEXTEND record and the plaintext chunk it
+// covers into the running measurement; callers hold d.mu.
+func (d *Device) extendLocked(e *Enclave, vaddr uint64, chunk []byte) {
+	rec := d.scratch.rec[:16]
+	copy(rec[:8], "EEXTEND\x00")
+	binary.LittleEndian.PutUint64(rec[8:], vaddr)
+	e.mr.Write(rec)
+	e.mr.Write(chunk)
+}
+
 // EInit finalizes the measurement: MRENCLAVE becomes the SHA-256 of the
-// build log and the enclave becomes executable.
+// build records and the enclave becomes executable. Build instructions
+// that run after EINIT (SGXv2 growth) no longer reach MRENCLAVE.
 func (d *Device) EInit(e *Enclave) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -246,7 +261,8 @@ func (d *Device) EInit(e *Enclave) error {
 	if e.initialized {
 		return ErrInitialized
 	}
-	e.mrEnclave = sha256.Sum256(e.mrLog)
+	e.mr.Sum(e.mrEnclave[:0])
+	e.mr = nil
 	e.initialized = true
 	return nil
 }
@@ -329,14 +345,11 @@ func (d *Device) EAug(e *Enclave, vaddr uint64, perm Perm) error {
 	if err != nil {
 		return err
 	}
-	ct := d.pageCrypt(slot, e.id, make([]byte, PageSize))
-	copy(d.epc[slot].data[:], ct)
-	d.epc[slot].valid = true
-	d.epc[slot].owner = e.id
-	d.epc[slot].vaddr = vaddr
-	d.epc[slot].perm = perm
-	d.epc[slot].ptype = PageREG
-	d.epc[slot].pending = true
+	pg := &d.epc[slot]
+	pg.setEPCM(e.id, vaddr, perm, PageREG)
+	pg.pending = true
+	clear(pg.data[:])
+	d.cryptPage(slot, e.id, 0, pg.data[:])
 	e.pages[vaddr] = slot
 	return nil
 }
@@ -440,13 +453,12 @@ func (e *Enclave) access(addr uint64, buf []byte, write bool) error {
 		if n > PageSize-off {
 			n = PageSize - off
 		}
-		pt := d.pageCrypt(slot, e.id, pg.data[:])
 		if write {
-			copy(pt[off:off+n], buf[pos:pos+n])
-			ct := d.pageCrypt(slot, e.id, pt)
-			copy(pg.data[:], ct)
+			copy(pg.data[off:off+n], buf[pos:pos+n])
+			d.cryptPage(slot, e.id, off, pg.data[off:off+n])
 		} else {
-			copy(buf[pos:pos+n], pt[off:off+n])
+			copy(buf[pos:pos+n], pg.data[off:off+n])
+			d.cryptPage(slot, e.id, off, buf[pos:pos+n])
 		}
 		pos += n
 	}

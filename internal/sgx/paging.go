@@ -100,7 +100,9 @@ func (d *Device) EWB(e *Enclave, vaddr uint64) (*EvictedPage, error) {
 		return nil, fmt.Errorf("%w: EWB %#x", ErrPageNotMapped, vaddr)
 	}
 	pg := &d.epc[slot]
-	plain := d.pageCrypt(slot, e.id, pg.data[:])
+	plain := d.scratch.page[:]
+	copy(plain, pg.data[:])
+	d.cryptPage(slot, e.id, 0, plain)
 
 	if e.evicted == nil {
 		e.evicted = make(map[uint64]uint64)
@@ -153,14 +155,10 @@ func (d *Device) ELDU(e *Enclave, ep *EvictedPage) error {
 	if err != nil {
 		return err
 	}
-	plain := d.evictCrypt(ep.Nonce, ep.Data[:])
-	ct := d.pageCrypt(slot, e.id, plain[:])
-	copy(d.epc[slot].data[:], ct)
-	d.epc[slot].valid = true
-	d.epc[slot].owner = e.id
-	d.epc[slot].vaddr = ep.Vaddr
-	d.epc[slot].perm = ep.Perm
-	d.epc[slot].ptype = ep.PType
+	pg := &d.epc[slot]
+	pg.setEPCM(e.id, ep.Vaddr, ep.Perm, ep.PType)
+	pg.data = d.evictCrypt(ep.Nonce, ep.Data[:])
+	d.cryptPage(slot, e.id, 0, pg.data[:])
 	e.pages[ep.Vaddr] = slot
 	delete(e.evicted, ep.Vaddr)
 	return nil

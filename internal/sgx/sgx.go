@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"engarde/internal/cycles"
@@ -132,6 +133,12 @@ type epcPage struct {
 	pending bool // EAUG'd but not yet EACCEPT'd (v2)
 }
 
+// setEPCM makes a freshly allocated slot a valid, accepted page of owner.
+// The page data is left for the caller to fill.
+func (pg *epcPage) setEPCM(owner EnclaveID, vaddr uint64, perm Perm, ptype PageType) {
+	pg.valid, pg.owner, pg.vaddr, pg.perm, pg.ptype, pg.pending = true, owner, vaddr, perm, ptype, false
+}
+
 // Config configures a Device.
 type Config struct {
 	// EPCPages is the EPC capacity in pages; DefaultEPCPages if zero.
@@ -153,8 +160,18 @@ type Device struct {
 	enclaves map[EnclaveID]*Enclave
 	nextID   EnclaveID
 
-	hwKey   [16]byte // hardware-managed memory-encryption key (never exposed)
-	sealKey [32]byte // root for EGETKEY derivations
+	hwKey   [16]byte     // hardware-managed memory-encryption key (never exposed)
+	hwBlock cipher.Block // hwKey's AES key schedule, expanded once
+	sealKey [32]byte     // root for EGETKEY derivations
+
+	// scratch is working memory for the instruction in flight, guarded
+	// by mu. Buffers handed to crypto/cipher and hash.Hash methods escape
+	// to the heap; device-owned ones cost no allocation per instruction.
+	scratch struct {
+		page    [PageSize]byte // one page of plaintext
+		iv, pad [aes.BlockSize]byte
+		rec     [24]byte // one measurement-log record
+	}
 
 	counter *cycles.Counter
 	phase   cycles.Phase
@@ -185,6 +202,11 @@ func NewDevice(cfg Config) (*Device, error) {
 	if _, err := rand.Read(d.hwKey[:]); err != nil {
 		return nil, fmt.Errorf("sgx: generating hardware key: %w", err)
 	}
+	block, err := aes.NewCipher(d.hwKey[:])
+	if err != nil {
+		return nil, fmt.Errorf("sgx: hardware key schedule: %w", err)
+	}
+	d.hwBlock = block
 	if _, err := rand.Read(d.sealKey[:]); err != nil {
 		return nil, fmt.Errorf("sgx: generating seal key: %w", err)
 	}
@@ -227,21 +249,26 @@ func (d *Device) ChargeSGX(n uint64) {
 	d.chargeLocked(n)
 }
 
-// pageCrypt en/decrypts one page with AES-CTR keyed by the hardware key and
-// a per-slot, per-enclave IV. Encryption and decryption are the same
-// operation.
-func (d *Device) pageCrypt(slot int, owner EnclaveID, in []byte) []byte {
-	block, err := aes.NewCipher(d.hwKey[:])
-	if err != nil {
-		// The key is a fixed 16 bytes; this cannot fail.
-		panic(fmt.Sprintf("sgx: aes init: %v", err))
-	}
-	var iv [16]byte
+// cryptPage en/decrypts part of one EPC page in place: it XORs buf with
+// the AES-CTR keystream under the hardware key and the per-slot,
+// per-enclave IV, starting at byte off of the page. The keystream at off
+// is the one a whole-page pass would use there, so any byte range of a
+// page en/decrypts independently of the rest. Encryption and decryption
+// are the same operation. Callers hold d.mu.
+func (d *Device) cryptPage(slot int, owner EnclaveID, off int, buf []byte) {
+	iv := d.scratch.iv[:]
 	binary.LittleEndian.PutUint64(iv[0:], uint64(slot))
 	binary.LittleEndian.PutUint64(iv[8:], uint64(owner))
-	out := make([]byte, len(in))
-	cipher.NewCTR(block, iv[:]).XORKeyStream(out, in)
-	return out
+	// CTR counts the IV up as one big-endian 128-bit integer: advance it
+	// to the block holding off, then discard the bytes before off.
+	lo, carry := bits.Add64(binary.BigEndian.Uint64(iv[8:]), uint64(off/aes.BlockSize), 0)
+	binary.BigEndian.PutUint64(iv[0:], binary.BigEndian.Uint64(iv[0:])+carry)
+	binary.BigEndian.PutUint64(iv[8:], lo)
+	stream := cipher.NewCTR(d.hwBlock, iv)
+	if skip := off % aes.BlockSize; skip != 0 {
+		stream.XORKeyStream(d.scratch.pad[:skip], d.scratch.pad[:skip])
+	}
+	stream.XORKeyStream(buf, buf)
 }
 
 // RawEPCPage exposes the stored (encrypted) bytes of an EPC slot — the view

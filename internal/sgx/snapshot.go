@@ -25,7 +25,7 @@ import (
 // Cost model: capturing charges one SGX instruction per page (an EWB-style
 // read-out); cloning and scrubbing charge one per page (an ELDU-style
 // restore) plus one for the SECS setup — 17× fewer SGX instructions than
-// the EADD + 16×EEXTEND build, and none of the measurement-log hashing.
+// the EADD + 16×EEXTEND build, and none of the measurement hashing.
 
 // snapPage is one captured page: plaintext content plus its EPCM entry.
 type snapPage struct {
@@ -93,9 +93,10 @@ func (d *Device) SnapshotEnclave(e *Enclave) (*Snapshot, error) {
 	}
 	for vaddr, slot := range e.pages {
 		pg := &d.epc[slot]
-		sp := snapPage{vaddr: vaddr, perm: pg.perm, ptype: pg.ptype}
-		copy(sp.data[:], d.pageCrypt(slot, e.id, pg.data[:]))
-		s.pages = append(s.pages, sp)
+		s.pages = append(s.pages, snapPage{vaddr: vaddr, perm: pg.perm, ptype: pg.ptype})
+		sp := &s.pages[len(s.pages)-1]
+		sp.data = pg.data
+		d.cryptPage(slot, e.id, 0, sp.data[:])
 	}
 	sort.Slice(s.pages, func(i, j int) bool { return s.pages[i].vaddr < s.pages[j].vaddr })
 	return s, nil
@@ -136,13 +137,10 @@ func (d *Device) CloneEnclave(s *Snapshot) (*Enclave, error) {
 			}
 			return nil, err
 		}
-		copy(d.epc[slot].data[:], d.pageCrypt(slot, e.id, sp.data[:]))
-		d.epc[slot].valid = true
-		d.epc[slot].owner = e.id
-		d.epc[slot].vaddr = sp.vaddr
-		d.epc[slot].perm = sp.perm
-		d.epc[slot].ptype = sp.ptype
-		d.epc[slot].pending = false
+		pg := &d.epc[slot]
+		pg.setEPCM(e.id, sp.vaddr, sp.perm, sp.ptype)
+		pg.data = sp.data
+		d.cryptPage(slot, e.id, 0, pg.data[:])
 		e.pages[sp.vaddr] = slot
 	}
 	d.enclaves[e.id] = e
@@ -178,10 +176,12 @@ func (d *Device) ScrubEnclave(e *Enclave, s *Snapshot) error {
 		if !ok {
 			return fmt.Errorf("%w: scrub: %#x", ErrPageNotMapped, sp.vaddr)
 		}
-		copy(d.epc[slot].data[:], d.pageCrypt(slot, e.id, sp.data[:]))
-		d.epc[slot].perm = sp.perm
-		d.epc[slot].ptype = sp.ptype
-		d.epc[slot].pending = false
+		pg := &d.epc[slot]
+		pg.data = sp.data
+		d.cryptPage(slot, e.id, 0, pg.data[:])
+		pg.perm = sp.perm
+		pg.ptype = sp.ptype
+		pg.pending = false
 	}
 	e.locked = false
 	return nil
