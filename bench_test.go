@@ -358,7 +358,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			b.SetBytes(int64(len(text.Data)))
 			for i := 0; i < b.N; i++ {
 				ctr := cycles.NewCounter(cycles.DefaultModel())
-				prog, err := nacl.DecodeProgramParallel(text.Data, text.Addr, ctr, workers)
+				prog, err := nacl.DecodeProgramTraced(text.Data, text.Addr, ctr, workers, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -170,18 +170,17 @@ func runJSON() error {
 
 	rep := jsonReport{WarmPath: warm, Gateway: map[string]gatewayPoint{}, Fleet: map[string]fleetPoint{}}
 	for name, cfg := range map[string]bench.GatewayLoadConfig{
-		// The four BENCH_7-era points stay on the buffered path so their
-		// figures remain comparable release over release.
-		"cold":      {Images: images, CacheEntries: -1, DisableStreaming: true},
-		"cache-hit": {Images: images[:1], DisableStreaming: true},
-		"fn-warm":   {Images: images, CacheEntries: -1, FnCacheEntries: gateway.DefaultCacheEntries * 16, DisableStreaming: true},
+		// Every point runs the shipped (streaming) receive path.
+		"cold":      {Images: images, CacheEntries: -1},
+		"cache-hit": {Images: images[:1]},
+		"fn-warm":   {Images: images, CacheEntries: -1, FnCacheEntries: gateway.DefaultCacheEntries * 16},
 		// "pooled" is "cold" with the enclave warm pool on: every session
 		// still runs the full pipeline, but checks a snapshot-cloned enclave
 		// out of the pool instead of paying the measured build — the
 		// pool-checkout span replaces create-enclave (BENCH_7). The pool is
 		// sized to cover the whole burst (arrival rate × recycle time), so
 		// the steady state has zero cold fallbacks.
-		"pooled": {Images: images, CacheEntries: -1, EnclavePool: 8, DisableStreaming: true},
+		"pooled": {Images: images, CacheEntries: -1, EnclavePool: 8},
 	} {
 		pt, err := load(cfg)
 		if err != nil {
@@ -190,9 +189,9 @@ func runJSON() error {
 		rep.Gateway[name] = pt
 	}
 
-	// The BENCH_8 trio: first-byte-to-verdict with the receive buffered
-	// ("sequential") vs overlapped with the pipeline ("streaming"), and
-	// streaming combined with the warm enclave pool. The transfer arrives
+	// The BENCH_8 pair: first-byte-to-verdict with the receive overlapped
+	// with the pipeline ("streaming"), alone and combined with the warm
+	// enclave pool ("streaming+pooled"). The transfer arrives
 	// over an emulated ~28 Mbit/s uplink in 32 KiB frames — on an unpaced
 	// in-memory pipe the whole image lands in microseconds and there is no
 	// transfer window for the pipeline to overlap. Images are ≥64 KiB
@@ -217,7 +216,7 @@ func runJSON() error {
 	}
 	// Overlap needs a second scheduler thread: with GOMAXPROCS=1 the
 	// decoder and the receive loop serialize at preemption granularity and
-	// the contrast measures the scheduler, not the pipeline. Restored
+	// the overlap measures the scheduler, not the pipeline. Restored
 	// afterwards so the BENCH_7-era points above and the fleet curve below
 	// keep their historical execution shape.
 	prevProcs := runtime.GOMAXPROCS(0)
@@ -225,7 +224,6 @@ func runJSON() error {
 		runtime.GOMAXPROCS(2)
 	}
 	for name, cfg := range map[string]bench.GatewayLoadConfig{
-		"sequential":       streamCfg(bench.GatewayLoadConfig{DisableStreaming: true}),
 		"streaming":        streamCfg(bench.GatewayLoadConfig{}),
 		"streaming+pooled": streamCfg(bench.GatewayLoadConfig{EnclavePool: 2}),
 	} {

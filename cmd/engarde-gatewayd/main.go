@@ -64,7 +64,6 @@ func main() {
 
 		disasmWorkers = flag.Int("disasm-workers", 0, "workers sharding each session's disassembly pass (0 = GOMAXPROCS, 1 = sequential)")
 		policyWorkers = flag.Int("policy-workers", 0, "workers sharding each session's policy checks (0 = GOMAXPROCS, 1 = sequential)")
-		streaming     = flag.Bool("streaming", true, "overlap image transfer with decryption, hashing, and disassembly (false = buffer the whole image first)")
 
 		maxConcurrent = flag.Int("max-concurrent", gateway.DefaultMaxConcurrent, "maximum enclaves in flight (worker-pool size)")
 		enclavePool   = flag.Int("enclave-pool", 0, "warm enclaves kept cloned and attestation-ready (0 disables pooling)")
@@ -101,7 +100,6 @@ func main() {
 		listen: *listen, policies: *policies, keyOut: *keyOut,
 		heapPages: *heapPages, clientPages: *clientPages, sgxv1: *sgxv1,
 		disasmWorkers: *disasmWorkers, policyWorkers: *policyWorkers,
-		streaming:     *streaming,
 		maxConcurrent: *maxConcurrent, queueDepth: *queueDepth,
 		enclavePool: *enclavePool, poolRefillWorkers: *poolRefill,
 		cacheEntries: *cacheEntries,
@@ -127,7 +125,6 @@ type config struct {
 	sgxv1                    bool
 
 	disasmWorkers, policyWorkers            int
-	streaming                               bool
 	maxConcurrent, queueDepth, cacheEntries int
 	enclavePool, poolRefillWorkers          int
 	fnCacheEntries                          int
@@ -216,7 +213,6 @@ func run(cfg config) error {
 		ClientPages:          cfg.clientPages,
 		DisasmWorkers:        cfg.disasmWorkers,
 		PolicyWorkers:        cfg.policyWorkers,
-		DisableStreaming:     !cfg.streaming,
 		MaxConcurrent:        cfg.maxConcurrent,
 		QueueDepth:           cfg.queueDepth,
 		EnclavePool:          cfg.enclavePool,

@@ -58,7 +58,7 @@ type (
 	Report = core.Report
 	// StagedImage is an executable received by the streaming pipeline:
 	// plaintext plus an incrementally computed digest and an in-flight
-	// speculative decode (see ServeProvisionStreaming).
+	// speculative decode (see ServeProvisionFunc).
 	StagedImage = core.StagedImage
 	// Measurement is an enclave measurement (MRENCLAVE).
 	Measurement = sgx.Measurement
@@ -348,18 +348,11 @@ func (e *Enclave) SessionTraceContext() (obs.TraceContext, bool) {
 }
 
 // Provision runs the EnGarde pipeline over a plaintext image (in-process
-// use; the network protocol lives in protocol.go).
+// use; the network protocol lives in protocol.go). The image is provisioned
+// as a one-frame StagedImage, so verdicts and cycle charges are those of a
+// streamed session.
 func (e *Enclave) Provision(image []byte) (*Report, error) {
 	return e.core.Provision(image)
-}
-
-// ProvisionPrechecked provisions an image that a prior compliant Report
-// already vouches for, skipping disassembly and policy checking. The caller
-// must guarantee the image is byte-identical to the one behind prior and
-// was checked under a policy set with an identical Fingerprint — the
-// gateway's verdict cache enforces exactly that.
-func (e *Enclave) ProvisionPrechecked(image []byte, prior *Report) (*Report, error) {
-	return e.core.ProvisionPrechecked(image, prior)
 }
 
 // ProvisionStaged runs the pipeline over a streamed image, adopting its
@@ -369,9 +362,13 @@ func (e *Enclave) ProvisionStaged(st *StagedImage) (*Report, error) {
 	return e.core.ProvisionStaged(st)
 }
 
-// ProvisionStagedPrechecked is ProvisionPrechecked for a streamed image.
-func (e *Enclave) ProvisionStagedPrechecked(st *StagedImage, prior *Report) (*Report, error) {
-	return e.core.ProvisionStagedPrechecked(st, prior)
+// ProvisionPrechecked provisions an image that a prior compliant Report
+// already vouches for, skipping disassembly and policy checking. The caller
+// must guarantee the image is byte-identical to the one behind prior and
+// was checked under a policy set with an identical Fingerprint — the
+// gateway's verdict cache enforces exactly that.
+func (e *Enclave) ProvisionPrechecked(st *StagedImage, prior *Report) (*Report, error) {
+	return e.core.ProvisionPrechecked(st, prior)
 }
 
 // Enter transfers control to the provisioned executable.

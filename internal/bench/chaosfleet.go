@@ -40,8 +40,6 @@ type ChaosFleetConfig struct {
 	EnclavePool   int
 	CacheEntries  int
 	MaxConcurrent int
-	// DisableStreaming buffers whole images before the pipeline runs.
-	DisableStreaming bool
 	// HeapPages/ClientPages size each session's enclave; 0 means 1500/512.
 	HeapPages   int
 	ClientPages int
@@ -130,16 +128,15 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			return nil, err
 		}
 		gw, err := gateway.New(gateway.Config{
-			Provider:         provider,
-			Policies:         cfg.Policies,
-			HeapPages:        cfg.HeapPages,
-			ClientPages:      cfg.ClientPages,
-			MaxConcurrent:    cfg.MaxConcurrent,
-			CacheEntries:     cfg.CacheEntries,
-			EnclavePool:      cfg.EnclavePool,
-			DisableStreaming: cfg.DisableStreaming,
-			FnCacheEntries:   -1,
-			TraceSink:        sink,
+			Provider:       provider,
+			Policies:       cfg.Policies,
+			HeapPages:      cfg.HeapPages,
+			ClientPages:    cfg.ClientPages,
+			MaxConcurrent:  cfg.MaxConcurrent,
+			CacheEntries:   cfg.CacheEntries,
+			EnclavePool:    cfg.EnclavePool,
+			FnCacheEntries: -1,
+			TraceSink:      sink,
 			// Tight deadlines: a chaos run wants sessions orphaned by a
 			// crash reaped in seconds, not the daemon's patient minutes.
 			IdleTimeout:   5 * time.Second,

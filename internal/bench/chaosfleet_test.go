@@ -172,9 +172,16 @@ func TestFleetFailoverMidStream(t *testing.T) {
 		t.Error("OnFailover never fired — the kill did not interrupt the session")
 	}
 
-	// The replayed session must have landed on the survivor.
-	if served := fleet.Gateway(survivor).Stats().Served; served == 0 {
-		t.Error("survivor served no sessions — failover did not reroute")
+	// The replayed session must have landed on the survivor. The gateway
+	// counts a session as served only after the verdict is written, so the
+	// client can hold its verdict a beat before the counter moves: wait
+	// for it, with a deadline.
+	for deadline := time.Now().Add(10 * time.Second); fleet.Gateway(survivor).Stats().Served == 0; {
+		if time.Now().After(deadline) {
+			t.Error("survivor served no sessions — failover did not reroute")
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// The owner comes back and the fleet is whole again: a fresh session

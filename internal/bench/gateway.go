@@ -105,10 +105,6 @@ type GatewayLoadConfig struct {
 	// PoolRefillWorkers sizes the pool's background refill worker set
 	// (gateway semantics: 0 = default). Ignored when EnclavePool is 0.
 	PoolRefillWorkers int
-	// DisableStreaming runs the gateway on the buffered sequential receive
-	// path instead of the default streaming pipeline — the A/B control for
-	// first-byte-to-verdict comparisons.
-	DisableStreaming bool
 	// BlockSize, when positive, sets the client's secure-channel frame size
 	// in bytes (0 = the 64 KiB default). Smaller frames give the streaming
 	// pipeline finer-grained transfer/decode overlap.
@@ -227,7 +223,6 @@ func RunGatewayLoad(cfg GatewayLoadConfig) (*GatewayLoadResult, error) {
 		PoolRefillWorkers: cfg.PoolRefillWorkers,
 		CacheEntries:      cfg.CacheEntries,
 		FnCacheEntries:    fnEntries,
-		DisableStreaming:  cfg.DisableStreaming,
 		IdleTimeout:       -1, // in-memory pipes; deadlines only add noise
 		SessionBudget:     -1,
 		TraceSink:         sink,

@@ -23,7 +23,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"engarde/internal/attest"
 	"engarde/internal/cycles"
@@ -436,32 +435,6 @@ func (g *EnGarde) reject(reason string, violation *policy.Violation) *Report {
 	}
 }
 
-// RecvImage receives and decrypts the client's executable over the
-// encrypted channel (length header + encrypted blocks) without provisioning
-// it. Serving layers use it to inspect the plaintext — e.g. hash it for a
-// verdict-cache lookup — before deciding how to provision.
-func (g *EnGarde) RecvImage(r io.Reader) ([]byte, error) {
-	if g.sess == nil {
-		return nil, ErrNoSession
-	}
-	g.dev.SetPhase(cycles.PhaseProvision)
-	image, err := g.sess.RecvStream(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: receiving content: %w", err)
-	}
-	return image, nil
-}
-
-// ProvisionStream receives the client's executable over the encrypted
-// channel (length header + encrypted blocks) and provisions it.
-func (g *EnGarde) ProvisionStream(r io.Reader) (*Report, error) {
-	image, err := g.RecvImage(r)
-	if err != nil {
-		return nil, err
-	}
-	return g.Provision(image)
-}
-
 // Provision runs the full EnGarde pipeline over a decrypted executable
 // image. A non-nil Report with Compliant == false is a *decision*, not an
 // error; errors mean the machinery itself failed.
@@ -470,23 +443,24 @@ func (g *EnGarde) Provision(image []byte) (*Report, error) {
 }
 
 // ProvisionPrechecked provisions an image a prior compliant Report already
-// vouches for: disassembly and policy checking are skipped and the image
-// goes straight to loading. The caller must guarantee that the image is
-// byte-identical to the one the prior report describes AND that it was
-// checked under a policy set with an identical fingerprint — that is what
-// makes skipping the deterministic check sound. The returned Report carries
-// CacheHit = true.
-func (g *EnGarde) ProvisionPrechecked(image []byte, prior *Report) (*Report, error) {
+// vouches for: disassembly and policy checking are skipped, any speculative
+// decode is discarded unused, and the image goes straight to loading. The
+// caller must guarantee that the image is byte-identical to the one the
+// prior report describes AND that it was checked under a policy set with an
+// identical fingerprint — that is what makes skipping the deterministic
+// check sound. The returned Report carries CacheHit = true.
+func (g *EnGarde) ProvisionPrechecked(st *StagedImage, prior *Report) (*Report, error) {
 	if prior == nil || !prior.Compliant {
 		return nil, errors.New("core: prechecked provisioning requires a prior compliant report")
 	}
-	return g.provision(&StagedImage{Image: image}, prior)
+	return g.provision(st, prior)
 }
 
-// provision is the shared pipeline — buffered and streaming provisioning
-// both land here, so their verdicts and charges cannot diverge. With
-// prior == nil it runs the full check; with a prior compliant report it
-// skips disassembly and policy evaluation (the verdict-cache fast path).
+// provision is the shared pipeline — Provision, ProvisionStaged and
+// ProvisionPrechecked all land here, so their verdicts and charges cannot
+// diverge. With prior == nil it runs the full check; with a prior
+// compliant report it skips disassembly and policy evaluation (the
+// verdict-cache fast path).
 // A streamed st may carry a speculative decode, adopted (or discarded) at
 // the disassembly stage by decodeText.
 func (g *EnGarde) provision(st *StagedImage, prior *Report) (*Report, error) {

@@ -332,16 +332,6 @@ func TestDefaultEPCTooSmallForLargeClients(t *testing.T) {
 	}
 }
 
-func TestProvisionStreamRequiresSession(t *testing.T) {
-	g, err := New(testConfig(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.ProvisionStream(nil); !errors.Is(err, ErrNoSession) {
-		t.Errorf("ProvisionStream without session = %v", err)
-	}
-}
-
 func TestHeapExhaustion(t *testing.T) {
 	cfg := testConfig(nil)
 	cfg.HeapPages = 8 // far too small for image + instruction buffer
@@ -389,7 +379,7 @@ func TestProvisionPrechecked(t *testing.T) {
 	// Second enclave: the prechecked path must skip disassembly and policy
 	// checking but still produce a fully loaded, enterable enclave.
 	g2, _ := newEnGarde(t, testConfig(pols))
-	rep, err := g2.ProvisionPrechecked(image, prior)
+	rep, err := g2.ProvisionPrechecked(&StagedImage{Image: image}, prior)
 	if err != nil {
 		t.Fatalf("ProvisionPrechecked: %v", err)
 	}
@@ -419,11 +409,11 @@ func TestProvisionPrechecked(t *testing.T) {
 
 func TestProvisionPrecheckedRequiresCompliantPrior(t *testing.T) {
 	g, _ := newEnGarde(t, testConfig(policy.NewSet()))
-	image := buildClient(t, clientCfg())
-	if _, err := g.ProvisionPrechecked(image, nil); err == nil {
+	st := &StagedImage{Image: buildClient(t, clientCfg())}
+	if _, err := g.ProvisionPrechecked(st, nil); err == nil {
 		t.Error("nil prior must be refused")
 	}
-	if _, err := g.ProvisionPrechecked(image, &Report{Compliant: false}); err == nil {
+	if _, err := g.ProvisionPrechecked(st, &Report{Compliant: false}); err == nil {
 		t.Error("non-compliant prior must be refused")
 	}
 }

@@ -1,25 +1,25 @@
 package core
 
-// Streaming provisioning: RecvImageStreaming overlaps the encrypted
-// transfer with the front of the provisioning pipeline. As each secchan
-// frame is decrypted it is folded into an incremental SHA-256 (so a
-// verdict-cache lookup can fire at last-byte with no second full-buffer
-// pass) and, once the ELF program headers have arrived, the text segment's
-// bytes are fed straight into a nacl.StreamDecoder whose speculative chunk
-// decodes run while later frames are still in flight.
+// Streaming provisioning, the only receive path: RecvImageStreaming
+// overlaps the encrypted transfer with the front of the provisioning
+// pipeline. As each secchan frame is decrypted it is folded into an
+// incremental SHA-256 (so a verdict-cache lookup can fire at last-byte with
+// no second full-buffer pass) and, once the ELF program headers have
+// arrived, the text segment's bytes are fed straight into a
+// nacl.StreamDecoder whose speculative chunk decodes run while later frames
+// are still in flight.
 //
 // The overlap never changes the outcome: speculative decode work is
 // uncharged (exactly like PR 2's sharded decoder), and ProvisionStaged
 // adopts the streamed decode only after verifying it covers byte-for-byte
 // the text section the full ELF parse names — otherwise the decode is
-// discarded and the buffered path runs, making streaming and sequential
-// provisioning produce identical verdicts, violations, and per-phase cycle
-// charges by construction.
+// discarded and the text is decoded from the assembled buffer, making
+// streamed and in-memory provisioning produce identical verdicts,
+// violations, and per-phase cycle charges by construction.
 
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -66,12 +66,13 @@ func (st *StagedImage) Release() {
 // cap it at the stream's own payload bound.
 const maxStreamText = 1 << 30
 
-// RecvImageStreaming receives and decrypts the client's executable like
-// RecvImage, but pipelined: hashing and speculative text-segment decode run
-// chunk-by-chunk as frames arrive instead of after assembly. Cycle charges
-// are identical to RecvImage (the same bytes are decrypted and staged;
-// speculative decode is never charged). On any receive error all partial
-// state — buffer, hash, decoder — is dropped before returning.
+// RecvImageStreaming receives and decrypts the client's executable over the
+// encrypted channel (length header + encrypted blocks), pipelined: hashing
+// and speculative text-segment decode run chunk-by-chunk as frames arrive
+// instead of after assembly. Cycle charges are those of a plain secchan
+// RecvStream (the same bytes are decrypted; speculative decode is never
+// charged). On any receive error all partial state — buffer, hash,
+// decoder — is dropped before returning.
 func (g *EnGarde) RecvImageStreaming(r io.Reader) (*StagedImage, error) {
 	if g.sess == nil {
 		return nil, ErrNoSession
@@ -153,17 +154,6 @@ func (g *EnGarde) RecvImageStreaming(r io.Reader) (*StagedImage, error) {
 // cycle charges are identical to Provision(st.Image).
 func (g *EnGarde) ProvisionStaged(st *StagedImage) (*Report, error) {
 	return g.provision(st, nil)
-}
-
-// ProvisionStagedPrechecked is ProvisionPrechecked for a streamed image:
-// the prior compliant report vouches for the (digest-identical) image, so
-// disassembly and policy checking are skipped and any speculative decode is
-// discarded unused.
-func (g *EnGarde) ProvisionStagedPrechecked(st *StagedImage, prior *Report) (*Report, error) {
-	if prior == nil || !prior.Compliant {
-		return nil, errors.New("core: prechecked provisioning requires a prior compliant report")
-	}
-	return g.provision(st, prior)
 }
 
 // decodeText resolves the disassembly for the verified text section: adopt

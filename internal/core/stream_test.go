@@ -18,8 +18,9 @@ import (
 
 // provisionOver runs one full receive-and-provision over an in-memory pipe:
 // the client session streams image in blockSize frames while the enclave
-// receives on either the buffered sequential path (ProvisionStream) or the
-// streaming pipeline (RecvImageStreaming + ProvisionStaged).
+// receives on either the streaming pipeline (RecvImageStreaming +
+// ProvisionStaged) or, as the sequential oracle, a plain whole-image
+// receive (the session's RecvStream) followed by Provision.
 func provisionOver(t *testing.T, streaming bool, image []byte, pols *policy.Set, dw, pw, blockSize int, cache *memo.Cache) *Report {
 	t.Helper()
 	cfg := testConfig(pols)
@@ -48,7 +49,11 @@ func provisionOver(t *testing.T, streaming bool, image []byte, pols *policy.Set,
 			rep, err = g.ProvisionStaged(st)
 		}
 	} else {
-		rep, err = g.ProvisionStream(srv)
+		var image []byte
+		image, err = g.sess.RecvStream(srv)
+		if err == nil {
+			rep, err = g.Provision(image)
+		}
 	}
 	if err != nil {
 		t.Fatalf("provision (streaming=%v, disasm=%d, policy=%d, block=%d): %v",
@@ -99,7 +104,7 @@ func TestStreamingMatchesSequential(t *testing.T) {
 			}
 
 			// Memo tiers: a function-result cache warmed identically on both
-			// sides must leave the streamed outcome equal to the buffered one.
+			// sides must leave the streamed outcome equal to the sequential one.
 			// (Cycle totals are span-cut-dependent on warm runs — see
 			// TestWarmProvisionMatchesCold — so only the outcome is compared.)
 			for _, wp := range workerPairs[:2] {
@@ -129,8 +134,8 @@ func TestStreamingMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRecvImageStreamingRequiresSession mirrors the buffered path's
-// contract: content before the key exchange is rejected.
+// TestRecvImageStreamingRequiresSession: content before the key exchange
+// is rejected.
 func TestRecvImageStreamingRequiresSession(t *testing.T) {
 	g, err := New(testConfig(policy.NewSet(stackprot.New())))
 	if err != nil {
@@ -151,16 +156,24 @@ func TestStagedImageReleaseIdempotent(t *testing.T) {
 	st.Release()
 }
 
-// TestProvisionStagedPrecheckedGuards: like ProvisionPrechecked, a staged
-// precheck demands a compliant prior.
+// TestProvisionStagedPrecheckedGuards: a staged image provisioned on the
+// prechecked path demands a compliant prior, and a refused call leaves the
+// enclave unprovisioned, so a full check still runs to its own verdict.
 func TestProvisionStagedPrecheckedGuards(t *testing.T) {
 	g, _ := newEnGarde(t, testConfig(policy.NewSet(stackprot.New())))
 	st := &StagedImage{Image: buildClient(t, clientCfg())}
-	if _, err := g.ProvisionStagedPrechecked(st, nil); err == nil {
+	if _, err := g.ProvisionPrechecked(st, nil); err == nil {
 		t.Error("nil prior accepted")
 	}
-	if _, err := g.ProvisionStagedPrechecked(st, &Report{Compliant: false}); err == nil {
+	if _, err := g.ProvisionPrechecked(st, &Report{Compliant: false}); err == nil {
 		t.Error("non-compliant prior accepted")
+	}
+	rep, err := g.ProvisionStaged(st)
+	if err != nil {
+		t.Fatalf("full provisioning after refused prechecks: %v", err)
+	}
+	if rep.Compliant {
+		t.Error("image without stack protector passed the full check")
 	}
 }
 

@@ -37,7 +37,7 @@ func buildStripped(t *testing.T, cfg toolchain.Config) (*nacl.Program, uint64, *
 		t.Fatal(err)
 	}
 	text := sf.Section(".text")
-	prog, err := nacl.DecodeProgram(text.Data, text.Addr, nil)
+	prog, err := nacl.DecodeProgramTraced(text.Data, text.Addr, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,27 +58,26 @@ func waitGoroutines(t *testing.T, baseline int) {
 
 // TestChaosSoak hammers one gateway with a mixed fleet: healthy tenants
 // interleaved with tenants whose connections stall, trickle, truncate,
-// flip bits, and error — all deterministic per-session schedules. Run
-// with -race; CI's chaos-soak job extends it via ENGARDE_SOAK_SECONDS.
-// This variant pins the buffered sequential receive path.
-func TestChaosSoak(t *testing.T) { runChaosSoak(t, true) }
+// flip bits, and error — all deterministic per-session schedules. Every
+// session sends at the client's default frame size. Run with -race; CI's
+// chaos-soak job extends it via ENGARDE_SOAK_SECONDS.
+func TestChaosSoak(t *testing.T) { runChaosSoak(t, false) }
 
-// TestStreamingChaosSoak is the same mixed fleet through the streaming
-// receive path, with each session's client frame size varied so chunk
-// launches and fault injections land at different stream offsets — the
-// soak counterpart of FuzzStreamingFrameSchedule's schedule coverage.
-func TestStreamingChaosSoak(t *testing.T) { runChaosSoak(t, false) }
+// TestStreamingChaosSoak is the same mixed fleet with each session's client
+// frame size varied, so chunk launches and fault injections land at
+// different stream offsets — the soak counterpart of
+// FuzzStreamingFrameSchedule's schedule coverage.
+func TestStreamingChaosSoak(t *testing.T) { runChaosSoak(t, true) }
 
-func runChaosSoak(t *testing.T, disableStreaming bool) {
+func runChaosSoak(t *testing.T, varyFrames bool) {
 	baseline := runtime.NumGoroutine()
 	gw, ln, client := testGateway(t, gateway.Config{
-		Policies:         engarde.NewPolicySet(engarde.StackProtectorPolicy()),
-		MaxConcurrent:    4,
-		QueueDepth:       4, // capacity 8 < clients 12, so shedding happens
-		IdleTimeout:      150 * time.Millisecond,
-		SessionBudget:    time.Second,
-		RetryAfterHint:   2 * time.Millisecond,
-		DisableStreaming: disableStreaming,
+		Policies:       engarde.NewPolicySet(engarde.StackProtectorPolicy()),
+		MaxConcurrent:  4,
+		QueueDepth:     4, // capacity 8 < clients 12, so shedding happens
+		IdleTimeout:    150 * time.Millisecond,
+		SessionBudget:  time.Second,
+		RetryAfterHint: 2 * time.Millisecond,
 	})
 	good := buildImage(t, "soak-good", 961, true)
 	bad := buildImage(t, "soak-bad", 962, false)
@@ -103,10 +102,10 @@ func runChaosSoak(t *testing.T, disableStreaming bool) {
 				if id%2 == 0 {
 					image, wantCompliant = bad, false
 				}
-				// On the streaming path, vary the frame size per session
-				// (512 B up to 64 KiB) so transfers split differently.
+				// Vary the frame size per session (512 B up to 64 KiB) so
+				// transfers split differently.
 				cl := *client
-				if !disableStreaming {
+				if varyFrames {
 					cl.BlockSize = 1 << (9 + id%8)
 				}
 				if id%4 == 0 {

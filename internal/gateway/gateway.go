@@ -82,14 +82,6 @@ type Config struct {
 	// GOMAXPROCS, 1 forces the sequential paths.
 	DisasmWorkers int
 	PolicyWorkers int
-	// DisableStreaming reverts sessions to the sequential pipeline: receive
-	// the whole encrypted image, then hash, disassemble, and policy-check.
-	// By default the gateway streams — decryption, hashing, and speculative
-	// disassembly overlap the transfer, with identical verdicts and cycle
-	// charges (TestStreamingMatchesSequential). The escape hatch exists for
-	// A/B measurement and incident triage, not because the paths can
-	// disagree.
-	DisableStreaming bool
 
 	// MaxConcurrent bounds in-flight provisions (worker-pool size).
 	// Default DefaultMaxConcurrent.
@@ -188,7 +180,7 @@ type Config struct {
 	// /tracez and point it at a directory for Chrome trace files.
 	TraceSink *obs.Sink
 	// OnServed, when set, is called after each admitted connection is
-	// served: rep/err are ServeProvision's results (encl is nil when
+	// served: rep/err are ServeProvisionFunc's results (encl is nil when
 	// enclave creation itself failed). It runs on the worker goroutine
 	// before the enclave is destroyed, so it may still Enter() a compliant
 	// enclave — cmd/engarde-host uses this to transfer control and print
@@ -619,14 +611,17 @@ func (g *Gateway) handle(q queuedConn) {
 
 	// recoverLost is the transparent enclave failover: when provisioning
 	// failed because the enclave's EPC pages were reclaimed under it, the
-	// plaintext image is still in hand, so the session is re-run in full on
-	// a replacement enclave (pool clone or cold build — identical MRENCLAVE
-	// either way) instead of surfacing a machinery failure to a client that
-	// did nothing wrong. One replacement attempt: a second loss means the
-	// host is shedding EPC faster than sessions run, and the typed
-	// backend-lost verdict (failNotify) correctly pushes the client to
-	// another backend.
-	recoverLost := func(image []byte, perr error) (*engarde.Report, error) {
+	// staged image (plaintext and digest) is still in hand, so the session
+	// is re-run in full on a replacement enclave (pool clone or cold build —
+	// identical MRENCLAVE either way) instead of surfacing a machinery
+	// failure to a client that did nothing wrong. The first attempt already
+	// released any speculative decode, so the replay decodes from the
+	// buffer — identical verdicts by construction
+	// (TestStreamingMatchesSequential).
+	// One replacement attempt: a second loss means the host is shedding EPC
+	// faster than sessions run, and the typed backend-lost verdict
+	// (failNotify) correctly pushes the client to another backend.
+	recoverLost := func(st *engarde.StagedImage, perr error) (*engarde.Report, error) {
 		if !errors.Is(perr, engarde.ErrEnclaveLost) {
 			return nil, perr
 		}
@@ -641,7 +636,7 @@ func (g *Gateway) handle(q queuedConn) {
 		if ferr != nil {
 			return nil, fmt.Errorf("gateway: replacing lost enclave: %w", errors.Join(ferr, perr))
 		}
-		rep, rerr := g.provision(encl, image)
+		rep, rerr := g.provision(encl, st)
 		if rerr == nil {
 			g.metrics.enclaveFailovers.Inc()
 		}
@@ -649,32 +644,14 @@ func (g *Gateway) handle(q queuedConn) {
 	}
 
 	ctx := obs.WithTrace(context.Background(), tr)
-	var rep *engarde.Report
-	var err error
-	if g.cfg.DisableStreaming {
-		rep, err = encl.ServeProvisionFuncCtx(ctx, rw, func(image []byte) (*engarde.Report, error) {
-			drill()
-			rep, err := g.provision(encl, image)
-			if err != nil {
-				return recoverLost(image, err)
-			}
-			return rep, nil
-		})
-	} else {
-		rep, err = encl.ServeProvisionStreamingFuncCtx(ctx, rw, func(st *engarde.StagedImage) (*engarde.Report, error) {
-			drill()
-			rep, err := g.provisionStaged(encl, st)
-			if err != nil {
-				// The staged plaintext survives the loss; any speculative
-				// decode state died with the first attempt, so the replay
-				// runs the buffered path — identical verdicts by
-				// construction (TestStreamingMatchesSequential).
-				st.Release()
-				return recoverLost(st.Image, err)
-			}
-			return rep, nil
-		})
-	}
+	rep, err := encl.ServeProvisionFunc(ctx, rw, func(st *engarde.StagedImage) (*engarde.Report, error) {
+		drill()
+		rep, err := g.provision(encl, st)
+		if err != nil {
+			return recoverLost(st, err)
+		}
+		return rep, nil
+	})
 	dur := time.Since(start)
 	g.metrics.served.Inc()
 	g.metrics.latency.Observe(uint64(dur / time.Millisecond))
@@ -742,40 +719,12 @@ func (g *Gateway) finishTrace(tr *obs.Trace) {
 }
 
 // provision is the cache-aware provisioning step handed to
-// ServeProvisionFunc: hash the decrypted image, look up the verdict under
-// (image, policy fingerprint), and either reuse it or run the full
-// pipeline and remember the outcome.
-func (g *Gateway) provision(encl *engarde.Enclave, image []byte) (*engarde.Report, error) {
-	if g.cache == nil {
-		return encl.Provision(image)
-	}
-	key := cacheKey{image: sha256.Sum256(image), policy: g.policyFP}
-	if prior, ok := g.cache.get(key); ok {
-		g.metrics.cacheHits.Inc()
-		if !prior.Compliant {
-			// A cached rejection needs no enclave work at all: the verdict
-			// is the whole outcome.
-			rep := *prior
-			rep.CacheHit = true
-			return &rep, nil
-		}
-		// A cached compliant verdict still loads the code — the tenant gets
-		// a real provisioned enclave — but skips disassembly and policy
-		// checking, the dominant cost (paper Figures 3-5).
-		return encl.ProvisionPrechecked(image, prior)
-	}
-	g.metrics.cacheMisses.Inc()
-	rep, err := encl.Provision(image)
-	if err == nil {
-		g.cache.put(key, rep)
-	}
-	return rep, err
-}
-
-// provisionStaged is provision for the streaming path. The digest was
-// computed incrementally while frames arrived, so the verdict-cache lookup
-// fires the instant the last byte lands — no second pass over the image.
-func (g *Gateway) provisionStaged(encl *engarde.Enclave, st *engarde.StagedImage) (*engarde.Report, error) {
+// ServeProvisionFunc. The digest was computed incrementally while frames
+// arrived, so the verdict-cache lookup under (image, policy fingerprint)
+// fires the instant the last byte lands — no second pass over the image —
+// and either reuses the verdict or runs the full pipeline and remembers
+// the outcome.
+func (g *Gateway) provision(encl *engarde.Enclave, st *engarde.StagedImage) (*engarde.Report, error) {
 	if g.cache == nil {
 		return encl.ProvisionStaged(st)
 	}
@@ -783,14 +732,18 @@ func (g *Gateway) provisionStaged(encl *engarde.Enclave, st *engarde.StagedImage
 	if prior, ok := g.cache.get(key); ok {
 		g.metrics.cacheHits.Inc()
 		if !prior.Compliant {
-			// A cached rejection does no enclave work, so the in-flight
-			// speculative decode must be discarded here.
+			// A cached rejection needs no enclave work at all: the verdict
+			// is the whole outcome, and the in-flight speculative decode
+			// is discarded.
 			st.Release()
 			rep := *prior
 			rep.CacheHit = true
 			return &rep, nil
 		}
-		return encl.ProvisionStagedPrechecked(st, prior)
+		// A cached compliant verdict still loads the code — the tenant gets
+		// a real provisioned enclave — but skips disassembly and policy
+		// checking, the dominant cost (paper Figures 3-5).
+		return encl.ProvisionPrechecked(st, prior)
 	}
 	g.metrics.cacheMisses.Inc()
 	rep, err := encl.ProvisionStaged(st)

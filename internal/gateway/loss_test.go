@@ -46,7 +46,6 @@ func TestEnclaveLossMidProvisionFailover(t *testing.T) {
 	}{
 		{"cold", gateway.Config{MaxConcurrent: 2, Policies: policies, LoseEnclaveEvery: 1, CacheEntries: -1}},
 		{"pooled", gateway.Config{MaxConcurrent: 2, Policies: policies, LoseEnclaveEvery: 1, CacheEntries: -1, EnclavePool: 2}},
-		{"sequential", gateway.Config{MaxConcurrent: 2, Policies: policies, LoseEnclaveEvery: 1, CacheEntries: -1, DisableStreaming: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gw, ln, client := testGateway(t, tc.cfg)

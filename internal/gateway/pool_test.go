@@ -396,9 +396,6 @@ func TestPoolChaosSoak(t *testing.T) {
 		EnclavePool:       poolTarget,
 		PoolRefillWorkers: 2,
 		PoolHooks:         hooks,
-		// The scrub/discard cadence below is tuned for the buffered receive;
-		// pool behaviour under the streaming path is TestStreamingChaosSoak's.
-		DisableStreaming: true,
 	})
 	good := buildImage(t, "pool-soak-good", 971, true)
 	bad := buildImage(t, "pool-soak-bad", 972, false)
@@ -411,13 +408,26 @@ func TestPoolChaosSoak(t *testing.T) {
 		faultedOK atomic.Uint64
 		faultedE  atomic.Uint64
 	)
-	deadline := time.Now().Add(soakDuration())
+	// The chaos phase runs for soakDuration, then on until both the
+	// clone-failure and the scrub-failure paths have fired, up to a hard
+	// cap: a short soak can end before the fifth scrub, and the assertions
+	// below need both paths exercised.
+	minEnd := time.Now().Add(soakDuration())
+	hardEnd := minEnd.Add(30 * time.Second)
+	chaosPhase := func() bool {
+		now := time.Now()
+		if now.Before(minEnd) {
+			return true
+		}
+		p := gw.Stats().Pool
+		return now.Before(hardEnd) && (p.CloneErrors == 0 || p.Discards == 0)
+	}
 	var wg sync.WaitGroup
 	for c := 0; c < numClients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			for chaosPhase() {
 				id := sessions.Add(1)
 				image, wantCompliant := good, true
 				if id%2 == 0 {

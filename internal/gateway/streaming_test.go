@@ -1,10 +1,10 @@
 package gateway_test
 
-// Streaming-path gateway tests: the default receive overlaps transfer with
-// the provisioning pipeline, so these assert (1) verdict and cache behaviour
-// are indistinguishable from the buffered escape hatch, and (2) the overlap
-// telemetry — recv-overlap and first-byte-to-verdict spans, the dedicated
-// histograms — actually fires.
+// Streaming-path gateway tests: the receive overlaps transfer with the
+// provisioning pipeline, so these assert (1) verdict and cache behaviour
+// are indistinguishable from in-process provisioning of the same image, and
+// (2) the overlap telemetry — recv-overlap and first-byte-to-verdict spans,
+// the dedicated histograms — actually fires.
 
 import (
 	"strings"
@@ -95,22 +95,40 @@ func TestStreamingServesAndObserves(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesBufferedVerdicts A/Bs the escape hatch: the same
-// image pair yields identical verdicts on both receive paths.
+// TestStreamingMatchesBufferedVerdicts: every verdict the gateway streams
+// back equals VerdictForReport of an in-process Enclave.Provision of the
+// same image — compliant, policy-violating and malformed alike.
 func TestStreamingMatchesBufferedVerdicts(t *testing.T) {
-	good := buildImage(t, "ab-good", 7002, true)
-	bad := buildImage(t, "ab-bad", 7003, false)
-
-	for _, disable := range []bool{false, true} {
-		_, ln, client := testGateway(t, gateway.Config{
-			Policies:         engarde.NewPolicySet(engarde.StackProtectorPolicy()),
-			DisableStreaming: disable,
+	pols := engarde.NewPolicySet(engarde.StackProtectorPolicy())
+	images := map[string][]byte{
+		"good":      buildImage(t, "ab-good", 7002, true),
+		"bad":       buildImage(t, "ab-bad", 7003, false),
+		"malformed": []byte("\x7fELF not really an executable"),
+	}
+	_, ln, client := testGateway(t, gateway.Config{Policies: pols})
+	provider, err := engarde.NewProvider(engarde.ProviderConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, image := range images {
+		encl, err := provider.CreateEnclave(engarde.EnclaveConfig{
+			Policies: pols, HeapPages: testHeapPages, ClientPages: testClientPages,
 		})
-		if v, err := provisionOnce(t, ln, client, good); err != nil || !v.Compliant {
-			t.Fatalf("disable=%v: good image verdict %+v err %v", disable, v, err)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if v, err := provisionOnce(t, ln, client, bad); err != nil || v.Compliant {
-			t.Fatalf("disable=%v: bad image verdict %+v err %v", disable, v, err)
+		rep, err := encl.Provision(image)
+		encl.Destroy()
+		if err != nil {
+			t.Fatalf("%s: in-process Provision: %v", name, err)
+		}
+		want := engarde.VerdictForReport(rep)
+		got, err := provisionOnce(t, ln, client, image)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: gateway verdict %+v, in-process %+v", name, got, want)
 		}
 	}
 }
@@ -118,7 +136,7 @@ func TestStreamingMatchesBufferedVerdicts(t *testing.T) {
 // TestStreamingCachedRejection covers the one streaming cache branch with
 // no enclave work at all: a cached non-compliant verdict answered at
 // last-byte, where the gateway must discard the in-flight speculative
-// decode (provisionStaged's Release) without leaking it.
+// decode (provision's Release) without leaking it.
 func TestStreamingCachedRejection(t *testing.T) {
 	gw, ln, client := testGateway(t, gateway.Config{
 		Policies:      engarde.NewPolicySet(engarde.StackProtectorPolicy()),

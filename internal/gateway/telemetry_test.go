@@ -72,7 +72,12 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	if v, err := provisionOnce(t, ln, client, bad); err != nil || v.Compliant {
 		t.Fatalf("bad image: verdict %+v err %v", v, err)
 	}
-	waitFor(t, "3 served sessions", func() bool { return gw.Stats().Served == 3 })
+	// sessions_active drops in a deferred call after served is counted, so
+	// wait for both before comparing the quiet gateway's series.
+	waitFor(t, "3 served sessions, none active", func() bool {
+		s := gw.Stats()
+		return s.Served == 3 && s.Active == 0
+	})
 
 	rec := scrape(t, gw.MetricsHandler(), "/metricsz")
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {

@@ -29,7 +29,7 @@ func BenchmarkDecodeSharded(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(text.Data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodeProgramParallel(text.Data, text.Addr, nil, workers); err != nil {
+				if _, err := DecodeProgramTraced(text.Data, text.Addr, nil, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

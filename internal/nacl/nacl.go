@@ -87,20 +87,13 @@ func (p *Program) Contains(addr uint64) bool {
 	return addr >= p.Base && addr < p.End
 }
 
-// Validate decodes and validates the text region starting at base. entry
-// is the program entry point; tab supplies function starts for the
-// reachability rule (it may be nil, in which case only entry seeds the
-// reachability walk). Decoding work is charged to the disassembly phase of
-// counter when non-nil.
+// Validate decodes and validates the text region starting at base,
+// sequentially. entry is the program entry point; tab supplies function
+// starts for the reachability rule (it may be nil, in which case only entry
+// seeds the reachability walk). Decoding work is charged to the disassembly
+// phase of counter when non-nil.
 func Validate(code []byte, base, entry uint64, tab *symtab.Table, counter *cycles.Counter) (*Program, error) {
-	return ValidateParallel(code, base, entry, tab, counter, 1)
-}
-
-// ValidateParallel is Validate with decoding sharded across the given
-// number of workers (<= 0 means GOMAXPROCS). The accepted Program, any
-// rejection, and all cycle charges are identical to Validate's.
-func ValidateParallel(code []byte, base, entry uint64, tab *symtab.Table, counter *cycles.Counter, workers int) (*Program, error) {
-	p, err := DecodeProgramParallel(code, base, counter, workers)
+	p, err := DecodeProgramTraced(code, base, counter, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -110,27 +103,18 @@ func ValidateParallel(code []byte, base, entry uint64, tab *symtab.Table, counte
 	return p, nil
 }
 
-// DecodeProgram performs the first three validation rules (full decode,
-// bundle discipline, branch-target validity) without the reachability
-// walk. Callers recovering function boundaries from stripped binaries
-// (internal/funcid) decode first, recover, then run CheckReachability with
-// the recovered table.
-func DecodeProgram(code []byte, base uint64, counter *cycles.Counter) (*Program, error) {
-	return DecodeProgramParallel(code, base, counter, 1)
-}
-
-// DecodeProgramParallel is DecodeProgram sharded across workers (<= 0
-// means GOMAXPROCS). The produced Program is bit-identical to the
-// sequential path and charges the same cycle totals: speculative decode
-// work thrown away at seam reconciliation is never charged.
-func DecodeProgramParallel(code []byte, base uint64, counter *cycles.Counter, workers int) (*Program, error) {
-	return DecodeProgramTraced(code, base, counter, workers, nil)
-}
-
-// DecodeProgramTraced is DecodeProgramParallel with one wall-clock span per
-// validation pass recorded on tr (nil tr is a no-op). The passes run
-// sequentially, but cycle attribution stays with the caller's enclosing
-// disassembly phase span, so the pass spans are timing-only.
+// DecodeProgramTraced performs the first three validation rules (full
+// decode, bundle discipline, branch-target validity) without the
+// reachability walk, sharded across workers (<= 0 means GOMAXPROCS; 1 is
+// the sequential decoder). Callers recovering function boundaries from
+// stripped binaries (internal/funcid) decode first, recover, then run
+// CheckReachability with the recovered table. The produced Program is
+// bit-identical for any worker count and charges the same cycle totals:
+// speculative decode work thrown away at seam reconciliation is never
+// charged. One wall-clock span per validation pass is recorded on tr (nil
+// tr is a no-op); the passes run sequentially, but cycle attribution stays
+// with the caller's enclosing disassembly phase span, so the pass spans
+// are timing-only.
 func DecodeProgramTraced(code []byte, base uint64, counter *cycles.Counter, workers int, tr *obs.Trace) (*Program, error) {
 	// Pass 1: full decode (rejects mixed code/data).
 	sp := tr.StartSpan("disasm:decode")
@@ -144,7 +128,7 @@ func DecodeProgramTraced(code []byte, base uint64, counter *cycles.Counter, work
 
 // finishProgram runs everything downstream of the raw decode — the decoded-
 // instruction cycle charge and validation passes 2 and 3 — shared between
-// the buffered path above and StreamDecoder.Finish, so both produce
+// DecodeProgramTraced above and StreamDecoder.Finish, so both produce
 // identical Programs, rejections, and charges by construction.
 func finishProgram(insts []x86.Inst, base, size uint64, counter *cycles.Counter, workers int, tr *obs.Trace) (*Program, error) {
 	p := &Program{Insts: insts, Base: base, End: base + size}

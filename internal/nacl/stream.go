@@ -52,7 +52,7 @@ type StreamDecoder struct {
 
 // NewStreamDecoder prepares an incremental decode of a size-byte region
 // based at base, sharded across workers (<= 0 means GOMAXPROCS, same
-// normalization as DecodeProgramParallel). Small regions degrade to one
+// normalization as DecodeProgramTraced). Small regions degrade to one
 // sequential decode at Finish, exactly as the buffered path does.
 func NewStreamDecoder(base uint64, size, workers int) *StreamDecoder {
 	d := &StreamDecoder{base: base, size: size, workers: workers}

@@ -258,17 +258,18 @@ func SendBackendLost(w io.Writer, reason string, retryAfter time.Duration) error
 	})
 }
 
-// ProvisionFunc provisions a decrypted image and returns the report. The
-// default is (*Enclave).Provision; serving layers substitute a cache-aware
-// implementation (internal/gateway).
-type ProvisionFunc func(image []byte) (*Report, error)
+// ProvisionFunc provisions a received image and returns the report. The
+// default is (*Enclave).ProvisionStaged; serving layers substitute a
+// cache-aware implementation keyed on StagedImage.Digest
+// (internal/gateway).
+type ProvisionFunc func(st *StagedImage) (*Report, error)
 
 // ServeProvision runs the enclave side of the provisioning protocol over
 // conn: send hello, receive the wrapped session key, receive the encrypted
 // content, provision it, and reply with the verdict. The full Report stays
 // with the provider.
 func (e *Enclave) ServeProvision(conn io.ReadWriter) (*Report, error) {
-	return e.ServeProvisionFunc(conn, e.Provision)
+	return e.ServeProvisionFunc(context.Background(), conn, e.ProvisionStaged)
 }
 
 // failNotify sends a failure verdict for cause and returns cause joined
@@ -289,60 +290,9 @@ func failNotify(conn io.Writer, code ReasonCode, reason string, cause error) err
 	return cause
 }
 
-// ServeProvisionFunc is ServeProvision with the provisioning step swapped
-// out: the decrypted image is handed to provision instead of going straight
-// into (*Enclave).Provision. The gateway uses this to consult its verdict
-// cache once the plaintext hash is known.
-func (e *Enclave) ServeProvisionFunc(conn io.ReadWriter, provision ProvisionFunc) (*Report, error) {
-	return e.ServeProvisionFuncCtx(context.Background(), conn, provision)
-}
-
-// ServeProvisionFuncCtx is ServeProvisionFunc with a context carrying the
-// session's trace (obs.WithTrace): the protocol steps — attestation, key
-// exchange, content transfer, provisioning, verdict — are recorded as
-// spans on it. Attestation, key-exchange and transfer spans are
-// cycle-metered (their charges fall outside the pipeline's own phase
-// spans); the provision step is wall-clock only, because the pipeline
-// records its own phase spans inside it.
-func (e *Enclave) ServeProvisionFuncCtx(ctx context.Context, conn io.ReadWriter, provision ProvisionFunc) (*Report, error) {
-	tr := obs.FromContext(ctx)
-	if err := e.serveHandshake(tr, conn); err != nil {
-		return nil, err
-	}
-
-	recvStart := time.Now()
-	sp := tr.StartPhase("recv-image")
-	image, err := e.core.RecvImage(conn)
-	sp.End()
-	if err != nil {
-		return nil, failNotify(conn, CodeTransfer, "transfer failed", err)
-	}
-
-	psp := tr.StartSpan("provision")
-	rep, err := provision(image)
-	psp.End()
-	if err != nil {
-		return nil, failNotify(conn, CodeInternal, "provisioning failed", err)
-	}
-
-	sp = tr.StartPhase("send-verdict")
-	err = sendJSON(conn, VerdictForReport(rep))
-	sp.End()
-	if err != nil {
-		return rep, err
-	}
-	// The sequential path's first-byte-to-verdict window is anchored at the
-	// start of the transfer wait (the client streams immediately after the
-	// key exchange, so the first content byte arrives moments later) — the
-	// comparable counterpart of the streaming path's frame-anchored span.
-	tr.RecordSpan("first-byte-to-verdict", recvStart, time.Since(recvStart))
-	return rep, nil
-}
-
-// serveHandshake runs the protocol prologue shared by the buffered and
-// streaming serve paths: send the hello (quote + public key), then receive
-// the wrapped session key — discarding a routing preamble that reached us
-// directly — and complete the key exchange.
+// serveHandshake runs the protocol prologue: send the hello (quote +
+// public key), then receive the wrapped session key — discarding a routing
+// preamble that reached us directly — and complete the key exchange.
 func (e *Enclave) serveHandshake(tr *obs.Trace, conn io.ReadWriter) error {
 	sp := tr.StartPhase("attest")
 	q, err := e.Quote()
@@ -395,27 +345,22 @@ func (e *Enclave) serveHandshake(tr *obs.Trace, conn io.ReadWriter) error {
 	return nil
 }
 
-// StagedProvisionFunc provisions a streamed image (with its in-flight
-// speculative decode and precomputed digest) and returns the report. The
-// default is (*Enclave).ProvisionStaged; the gateway substitutes a
-// cache-aware implementation keyed on StagedImage.Digest.
-type StagedProvisionFunc func(st *StagedImage) (*Report, error)
-
-// ServeProvisionStreaming is ServeProvision on the streaming pipeline:
-// identical wire protocol and verdict, but the content transfer overlaps
-// decryption, hashing, and speculative disassembly instead of completing
-// before they start.
-func (e *Enclave) ServeProvisionStreaming(conn io.ReadWriter) (*Report, error) {
-	return e.ServeProvisionStreamingFuncCtx(context.Background(), conn, e.ProvisionStaged)
-}
-
-// ServeProvisionStreamingFuncCtx is the streaming counterpart of
-// ServeProvisionFuncCtx: the recv-image phase yields a StagedImage whose
-// digest and speculative decode are already warm at last-byte, and the
-// trace additionally carries the recv-overlap span (recorded by the
-// receive) plus a first-byte-to-verdict span anchored at the first content
-// frame's arrival.
-func (e *Enclave) ServeProvisionStreamingFuncCtx(ctx context.Context, conn io.ReadWriter, provision StagedProvisionFunc) (*Report, error) {
+// ServeProvisionFunc is ServeProvision with the provisioning step swapped
+// out: the received image is handed to provision instead of going straight
+// into (*Enclave).ProvisionStaged. The gateway uses this to consult its
+// verdict cache on the digest computed while the frames arrived.
+//
+// The content transfer overlaps decryption, hashing and speculative
+// disassembly instead of completing before they start. ctx carries the
+// session's trace (obs.WithTrace): the protocol steps — attestation, key
+// exchange, content transfer, provisioning, verdict — are recorded as spans
+// on it, plus the recv-overlap span (recorded by the receive) and a
+// first-byte-to-verdict span anchored at the first content frame's
+// arrival. Attestation, key-exchange and transfer spans are cycle-metered
+// (their charges fall outside the pipeline's own phase spans); the
+// provision step is wall-clock only, because the pipeline records its own
+// phase spans inside it.
+func (e *Enclave) ServeProvisionFunc(ctx context.Context, conn io.ReadWriter, provision ProvisionFunc) (*Report, error) {
 	tr := obs.FromContext(ctx)
 	if err := e.serveHandshake(tr, conn); err != nil {
 		return nil, err

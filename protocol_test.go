@@ -98,7 +98,7 @@ func TestTamperedStreamFailsAuthentication(t *testing.T) {
 	}
 	raw := wire.Bytes()
 	raw[len(raw)-2] ^= 0x80 // corrupt the last ciphertext block
-	if _, err := encl.Core().ProvisionStream(bytes.NewReader(raw)); err == nil {
+	if _, err := encl.Core().RecvImageStreaming(bytes.NewReader(raw)); err == nil {
 		t.Error("tampered stream must fail")
 	}
 }

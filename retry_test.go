@@ -1,6 +1,7 @@
 package engarde
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -138,7 +139,7 @@ func TestProvisionFailoverMidStreamDeath(t *testing.T) {
 func TestProvisionFailoverOnBackendLostVerdict(t *testing.T) {
 	f := newFailoverFixture(t)
 	lost := f.serveDial(t, func(encl *Enclave, conn net.Conn) {
-		_, _ = encl.ServeProvisionFunc(conn, func([]byte) (*Report, error) {
+		_, _ = encl.ServeProvisionFunc(context.Background(), conn, func(*StagedImage) (*Report, error) {
 			return nil, fmt.Errorf("core: staging image: %w", ErrEnclaveLost)
 		})
 	})

@@ -58,8 +58,8 @@ func TestTraceCyclesMatchReportExactly(t *testing.T) {
 	repCh := make(chan *Report, 1)
 	go func() {
 		defer srv.Close()
-		rep, err := encl.ServeProvisionFuncCtx(
-			obs.WithTrace(context.Background(), tr), srv, encl.Provision)
+		rep, err := encl.ServeProvisionFunc(
+			obs.WithTrace(context.Background(), tr), srv, encl.ProvisionStaged)
 		repCh <- rep
 		serveErr <- err
 	}()
@@ -74,7 +74,7 @@ func TestTraceCyclesMatchReportExactly(t *testing.T) {
 		t.Fatalf("rejected: %s", verdict.Reason)
 	}
 	if err := <-serveErr; err != nil {
-		t.Fatalf("ServeProvisionFuncCtx: %v", err)
+		t.Fatalf("ServeProvisionFunc: %v", err)
 	}
 	rep := <-repCh
 	if rep == nil || !rep.Compliant {
