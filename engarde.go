@@ -259,7 +259,7 @@ func (p *Provider) CreateEnclave(cfg EnclaveConfig) (*Enclave, error) {
 // then Clone mints attestation-ready enclaves at page-restore speed and
 // Recycle scrubs used ones back to the pristine image. All clones carry
 // the template's MRENCLAVE (identical to ExpectedMeasurement for the same
-// configuration) with fresh per-instance identities and RSA keys.
+// configuration) with fresh per-instance identities and channel keys.
 type EnclaveSnapshot struct {
 	provider *Provider
 	snap     *core.Snapshotter
@@ -330,10 +330,14 @@ func (e *Enclave) Quote() (Quote, error) { return e.core.Quote(e.provider.qe) }
 // trace of whoever checks it out.
 func (e *Enclave) SetTrace(tr *obs.Trace) { e.core.SetTrace(tr) }
 
-// PublicKeyDER exports the enclave's ephemeral RSA public key.
+// PublicKeyDER exports the enclave's ephemeral X25519 public key as PKIX
+// DER: the key the quote binds (attest.BindPublicKey) and the client
+// agrees on the session key with.
 func (e *Enclave) PublicKeyDER() ([]byte, error) { return e.core.PublicKeyDER() }
 
-// AcceptSessionKey installs the client's RSA-wrapped AES session key.
+// AcceptSessionKey completes the key exchange from the client's
+// session-open frame (secchan.WrapSessionKey) and installs the derived
+// AES session key.
 func (e *Enclave) AcceptSessionKey(wrapped []byte) error {
 	return e.core.AcceptSessionKey(wrapped)
 }

@@ -3,9 +3,9 @@
 //
 //   - the client verifies the quote's signature chain (platform key),
 //     the enclave measurement (genuine EnGarde bootstrap), and the binding
-//     of the enclave's ephemeral RSA key into the quote;
+//     of the enclave's ephemeral X25519 key into the quote;
 //
-//   - a simulated man-in-the-middle that substitutes its own RSA key is
+//   - a simulated man-in-the-middle that substitutes its own key is
 //     detected before any content leaves the client.
 //
 //     go run ./examples/remote-attestation
@@ -80,8 +80,8 @@ func main() {
 	fmt.Printf("honest provider: compliant=%v\n", verdict.Compliant)
 
 	// --- Man-in-the-middle run -----------------------------------------
-	// The MITM forwards the genuine quote but substitutes its own RSA key,
-	// hoping the client encrypts the session key to it. The quote binds
+	// The MITM forwards the genuine quote but substitutes its own key,
+	// hoping the client agrees on the session key with it. The quote binds
 	// the genuine enclave key, so verification fails.
 	mitmDetected := demonstrateMITM(provider, expected)
 	fmt.Printf("man-in-the-middle substituting the channel key: detected=%v\n", mitmDetected)

@@ -97,7 +97,7 @@ func (qe *QuotingEnclave) Quote(e *sgx.Enclave, reportData [sgx.ReportDataSize]b
 // under the platform's attestation public key, that the measurement equals
 // the expected MRENCLAVE (the EnGarde loader both parties inspected), and
 // that the report data equals bindData (the digest of the enclave's
-// ephemeral RSA public key, preventing man-in-the-middle provisioning).
+// ephemeral channel public key, preventing man-in-the-middle provisioning).
 func VerifyQuote(q Quote, platformKey *rsa.PublicKey, expected sgx.Measurement, bindData [sgx.ReportDataSize]byte) error {
 	digest := sha256.Sum256(signedPayload(q.Report))
 	if err := rsa.VerifyPKCS1v15(platformKey, crypto.SHA256, digest[:], q.Signature); err != nil {

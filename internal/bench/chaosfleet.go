@@ -279,6 +279,9 @@ func (f *ChaosFleet) Kill(i int) {
 	b.chaos.Kill()
 	b.adminSrv.Close()
 	<-b.serveErr // the serve loop exits on the dead listener
+	// Re-scrape now: the aggregator caches its view for one interval, and
+	// a view cached just before the kill would still show the backend up.
+	f.routerAgg.ScrapeOnce(context.Background())
 }
 
 // Restart brings backend i back on its original session and admin

@@ -2,10 +2,10 @@
 // inspection library of the paper. An EnGarde instance is the bootstrap
 // content of a freshly created enclave. It
 //
-//  1. generates an ephemeral 2048-bit RSA key pair whose digest is bound
-//     into the enclave's attestation quote (§2, §3);
-//  2. accepts the client's AES-256 session key and receives the client's
-//     executable over the encrypted channel in blocks (§3);
+//  1. generates an ephemeral key pair (X25519 here, RSA-2048 in the paper)
+//     whose digest is bound into the enclave's attestation quote (§2, §3);
+//  2. agrees on an AES-256 session key with the client and receives the
+//     client's executable over the encrypted channel in blocks (§3);
 //  3. disassembles the executable with the NaCl-style disassembler into a
 //     dynamically allocated full instruction buffer, paying one OpenSGX
 //     trampoline (2 SGX crossings) per page-granular malloc (§4);
@@ -210,7 +210,7 @@ func BootstrapCode() [][]byte {
 
 // New creates a fresh enclave provisioned with the EnGarde bootstrap:
 // ECREATE, EADD+EEXTEND of the bootstrap/heap/client pages, EINIT, EENTER,
-// and the ephemeral RSA key generation.
+// and the ephemeral key generation.
 func New(cfg Config) (*EnGarde, error) {
 	cfg.applyDefaults()
 	dev, err := sgx.NewDevice(sgx.Config{
@@ -228,7 +228,7 @@ func New(cfg Config) (*EnGarde, error) {
 // enclaves can share one device, as in the multi-tenant example).
 func NewOnDevice(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 	cfg.applyDefaults()
-	// Enclave creation charges (EADD/EEXTEND/EINIT/EENTER, RSA keygen) land
+	// Enclave creation charges (EADD/EEXTEND/EINIT/EENTER, keygen) land
 	// in the provisioning phase; the span attributes them to this session.
 	sp := cfg.Trace.StartPhase("create-enclave")
 	defer sp.End()
@@ -243,7 +243,8 @@ func NewOnDevice(cfg Config, dev *sgx.Device) (*EnGarde, error) {
 	g.ctx = ctx
 
 	// "The bootstrap code loaded into a freshly-created enclave first
-	// generates a 2048-bit RSA key pair" (§3).
+	// generates a 2048-bit RSA key pair" (§3) — here an X25519 key, see
+	// the secchan package comment.
 	key, err := secchan.GenerateEnclaveKey(cfg.Counter)
 	if err != nil {
 		return nil, err
@@ -313,7 +314,7 @@ func ExpectedMeasurement(cfg Config) (sgx.Measurement, error) {
 	// Measurements depend on neither device keys nor EPC size, so
 	// replaying the measured build on a scratch device that just fits the
 	// enclave yields the production enclave's measurement. The ephemeral
-	// RSA key is not measured, so none is generated.
+	// key is not measured, so none is generated.
 	bare := Config{Version: cfg.Version, HeapPages: cfg.HeapPages, ClientPages: cfg.ClientPages}
 	bare.applyDefaults()
 	scratch, err := sgx.NewDevice(sgx.Config{EPCPages: bare.enclavePages(), Version: bare.Version})
@@ -360,12 +361,12 @@ func (g *EnGarde) Quote(qe *attest.QuotingEnclave) (attest.Quote, error) {
 	return qe.Quote(g.encl, attest.BindPublicKey(pub))
 }
 
-// AcceptSessionKey completes the key exchange: the client's AES-256 key,
-// wrapped under the enclave's RSA public key. If the client appended a
-// trace context to the OAEP plaintext (the authenticated session-open
-// extra), it is captured for SessionTraceContext; a malformed extra is
-// ignored rather than failing the handshake — tracing is best-effort,
-// key exchange is not.
+// AcceptSessionKey completes the key exchange from the client's
+// session-open frame (its ephemeral X25519 key plus the sealed extra). A
+// trace context sealed into the frame (the authenticated session-open
+// extra) is captured for SessionTraceContext; a malformed extra is ignored
+// rather than failing the handshake — tracing is best-effort, key exchange
+// is not.
 func (g *EnGarde) AcceptSessionKey(wrapped []byte) error {
 	sess, extra, err := g.key.UnwrapSessionKeyExtra(wrapped, g.cfg.Counter)
 	if err != nil {
@@ -384,8 +385,8 @@ func (g *EnGarde) AcceptSessionKey(wrapped []byte) error {
 // SessionTraceContext returns the client's trace context carried inside
 // the current session's wrapped-key exchange, and whether one was present
 // and well-formed. Unlike the RouteHello copy, this one is authenticated:
-// it was encrypted under the enclave's public key, so no on-path router
-// could alter it.
+// it was sealed under a key derived from the enclave's attested key, so no
+// on-path router could alter it.
 func (g *EnGarde) SessionTraceContext() (obs.TraceContext, bool) {
 	return g.peerTC, g.peerTCOK
 }

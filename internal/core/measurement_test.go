@@ -18,28 +18,28 @@ var measurementPins = []struct {
 	cfg         Config
 	mrenclave   string
 	sgxInstrs   uint64
-	createTotal uint64 // all cycles NewOnDevice charges, RSA keygen included
+	createTotal uint64 // all cycles NewOnDevice charges, X25519 keygen included
 }{
 	{
 		name:        "gatewayd-default-v2",
 		cfg:         Config{Version: sgx.V2, HeapPages: 5000, ClientPages: 1024},
 		mrenclave:   "c5df09dafb19693b3566e0f7b3f1bbec298c9ed9011f6d0f44499d22c6670997",
 		sgxInstrs:   102683,
-		createTotal: 1028830000,
+		createTotal: 1027030000,
 	},
 	{
 		name:        "gatewayd-default-v1",
 		cfg:         Config{Version: sgx.V1, HeapPages: 5000, ClientPages: 1024},
 		mrenclave:   "c5df09dafb19693b3566e0f7b3f1bbec298c9ed9011f6d0f44499d22c6670997",
 		sgxInstrs:   102683,
-		createTotal: 1028830000,
+		createTotal: 1027030000,
 	},
 	{
 		name:        "small-v2",
 		cfg:         Config{Version: sgx.V2, HeapPages: 1500, ClientPages: 512},
 		mrenclave:   "38ebd2d1aed65f31c0fb79114599a3a4c4d058b9ddb7ba942138c903be349779",
 		sgxInstrs:   34479,
-		createTotal: 346790000,
+		createTotal: 344990000,
 	},
 }
 

@@ -16,7 +16,7 @@ import (
 // by cloning the snapshot — page restore at memcpy speed instead of
 // replaying the measured build. Every clone carries the template's
 // MRENCLAVE (so client attestation is unchanged) but a fresh enclave
-// identity and a fresh ephemeral RSA key (so sessions stay per-instance).
+// identity and a fresh ephemeral X25519 key (so sessions stay per-instance).
 //
 // Used enclaves can be recycled: the device scrubs every page back to the
 // snapshot image — provably erasing any client residue — and the enclave
@@ -33,7 +33,7 @@ type Snapshotter struct {
 
 // NewSnapshotter builds the template enclave on dev, snapshots it, and
 // destroys the template. The one-time build cost (the full measured build
-// plus the template's RSA keygen) is charged to cfg.Counter's provisioning
+// plus the template's keygen) is charged to cfg.Counter's provisioning
 // phase and reported via BuildCycles; it is the amortized capital cost of
 // the pool, deliberately outside any session's trace.
 func NewSnapshotter(cfg Config, dev *sgx.Device) (*Snapshotter, error) {
@@ -74,16 +74,16 @@ func (s *Snapshotter) BuildCycles() uint64 { return s.buildCycles }
 func (s *Snapshotter) SnapshotPages() int { return s.snap.Pages() }
 
 // CloneCycleCost returns the deterministic cycle-model cost of minting one
-// clone: the per-page restore plus SECS setup plus the fresh RSA keygen.
+// clone: the per-page restore plus SECS setup plus the fresh X25519 keygen.
 // Scrub-based recycling costs the same (page restore + keygen) minus the
 // SECS instruction.
 func (s *Snapshotter) CloneCycleCost() uint64 {
 	model := s.cfg.Counter.Model()
-	return uint64(s.snap.Pages()+2)*model[cycles.UnitSGXInstr] + model[cycles.UnitRSAOp]
+	return uint64(s.snap.Pages()+2)*model[cycles.UnitSGXInstr] + model[cycles.UnitKeyAgreement]
 }
 
 // wrap builds a fresh EnGarde instance around an already-restored enclave:
-// new host process and page tables, EENTER, fresh ephemeral RSA key. The
+// new host process and page tables, EENTER, fresh ephemeral X25519 key. The
 // enclave is destroyed on any error so callers never leak EPC slots.
 func (s *Snapshotter) wrap(encl *sgx.Enclave, tr *obs.Trace) (*EnGarde, error) {
 	cfg := s.cfg
@@ -127,7 +127,7 @@ func (s *Snapshotter) wrap(encl *sgx.Enclave, tr *obs.Trace) (*EnGarde, error) {
 
 // Clone mints a fresh provisioning-ready EnGarde instance from the
 // snapshot. The returned instance is attestation-ready (quote binds the
-// snapshot MRENCLAVE and a fresh per-clone RSA key) and behaves exactly
+// snapshot MRENCLAVE and a fresh per-clone X25519 key) and behaves exactly
 // like one built by NewOnDevice, minus the measured-build cost. tr may be
 // nil; pools typically clone untraced in the background and attach the
 // session's trace at checkout via SetTrace.
@@ -144,7 +144,7 @@ func (s *Snapshotter) Clone(tr *obs.Trace) (*EnGarde, error) {
 
 // Recycle scrubs a used clone back to the snapshot image and returns a
 // fresh EnGarde instance around the same EPC pages: contents, EPCM
-// permissions and the growth lock are reset, host-OS state and the RSA
+// permissions and the growth lock are reset, host-OS state and the X25519
 // key are rebuilt from scratch. The old instance must not be used again.
 // On any error the enclave is destroyed (never returned half-scrubbed).
 func (s *Snapshotter) Recycle(g *EnGarde) (*EnGarde, error) {

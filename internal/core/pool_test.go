@@ -37,7 +37,7 @@ func newSnapshotter(t *testing.T, pols *policy.Set, dw, pw int, cache *memo.Cach
 	return s
 }
 
-// keyExchange completes the RSA/AES key exchange on any EnGarde instance
+// keyExchange completes the X25519/AES key exchange on any EnGarde instance
 // (what newEnGarde does for freshly built ones).
 func keyExchange(t *testing.T, g *EnGarde) {
 	t.Helper()

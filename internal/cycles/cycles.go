@@ -87,8 +87,10 @@ const (
 	// UnitAESByte is one byte of AES-GCM processing on the provisioning
 	// channel.
 	UnitAESByte
-	// UnitRSAOp is one RSA-2048 private/public key operation.
-	UnitRSAOp
+	// UnitKeyAgreement is one X25519 scalar multiplication: generating an
+	// ephemeral key pair or computing a shared secret on the provisioning
+	// channel.
+	UnitKeyAgreement
 	// UnitMemoKeyByte is one byte fed through SHA-256 while computing a
 	// content-addressed function digest for the memo cache (the fingerprint
 	// pass of internal/policy/memo).
@@ -103,7 +105,7 @@ const (
 var unitNames = [numUnits]string{
 	"sgx-instr", "decoded-inst", "hashed-byte", "hash-init",
 	"sym-lookup", "scan-inst", "pattern-step", "reloc-entry",
-	"page-map", "segment-map", "copied-byte", "aes-byte", "rsa-op",
+	"page-map", "segment-map", "copied-byte", "aes-byte", "key-agreement",
 	"memo-key-byte", "memo-probe",
 }
 
@@ -135,7 +137,7 @@ func DefaultModel() Model {
 	// unit is counted for reporting but costs no cycles.
 	m[UnitCopiedByte] = 0
 	m[UnitAESByte] = 4
-	m[UnitRSAOp] = 2_000_000
+	m[UnitKeyAgreement] = 200_000
 	// Memo-cache units: digest bytes cost the same as policy-module SHA-256
 	// bytes (the work is identical); a probe is priced like a slightly
 	// heavier hash-table lookup (bucket walk + 64-byte key compare).

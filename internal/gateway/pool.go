@@ -314,8 +314,8 @@ func (p *enclavePool) checkout() (*engarde.Enclave, bool) {
 	return nil, false
 }
 
-// release returns a used enclave. The scrub re-keys the instance (fresh
-// RSA keypair, ~a full keygen), so it runs on its own goroutine rather
+// release returns a used enclave. The scrub restores every page and
+// re-keys the instance, so it runs on its own goroutine rather
 // than the session worker's; the goroutine is tracked so close() waits
 // for it and slot accounting stays exact.
 func (p *enclavePool) release(e *engarde.Enclave) {

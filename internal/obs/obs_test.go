@@ -71,7 +71,7 @@ func TestTraceSequentialPhasesSumToSnapshot(t *testing.T) {
 		{"disasm", cycles.PhaseDisasm, cycles.UnitDecodedInst, 500},
 		{"policy", cycles.PhasePolicy, cycles.UnitScanInst, 500},
 		{"load", cycles.PhaseLoad, cycles.UnitRelocEntry, 20},
-		{"attest", cycles.PhaseAttest, cycles.UnitRSAOp, 1},
+		{"attest", cycles.PhaseAttest, cycles.UnitKeyAgreement, 1},
 	}
 	for _, ph := range phases {
 		sp := tr.StartPhase(ph.name)

@@ -6,8 +6,9 @@ import (
 )
 
 // TestSessionExtraRoundTrip covers the authenticated session-open field:
-// bytes wrapped alongside the AES key under the enclave's public key come
-// back intact from the enclave-side unwrap — and only from it.
+// bytes sealed into the session-open frame under a key derived from the
+// enclave's public key come back intact from the enclave-side unwrap — and
+// only from it.
 func TestSessionExtraRoundTrip(t *testing.T) {
 	ek, err := GenerateEnclaveKey(nil)
 	if err != nil {
@@ -41,7 +42,10 @@ func TestSessionExtraRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSessionExtraEmptyIsLegacy(t *testing.T) {
+// TestSessionExtraEmptyIsNil: a wrap without an extra yields a nil extra,
+// and its frame still carries the extra's tag, so the unwrap confirms the
+// derived keys even when there is nothing to carry.
+func TestSessionExtraEmptyIsNil(t *testing.T) {
 	ek, err := GenerateEnclaveKey(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -50,13 +54,15 @@ func TestSessionExtraEmptyIsLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A legacy 32-byte wrap yields nil extra from the extended unwrap.
 	_, wrapped, err := WrapSessionKey(pub, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(wrapped) != wrapOverhead {
+		t.Fatalf("empty-extra frame is %d bytes, want %d (version + key + tag)", len(wrapped), wrapOverhead)
+	}
 	if _, extra, err := ek.UnwrapSessionKeyExtra(wrapped, nil); err != nil || extra != nil {
-		t.Fatalf("legacy wrap: extra = %v, err = %v", extra, err)
+		t.Fatalf("empty extra: extra = %v, err = %v", extra, err)
 	}
 }
 
@@ -70,7 +76,7 @@ func TestSessionExtraTooLong(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := WrapSessionKeyExtra(pub, nil, make([]byte, MaxSessionExtra+1)); err == nil {
-		t.Fatal("oversized extra accepted (would overflow the OAEP plaintext cap)")
+		t.Fatal("oversized extra accepted")
 	}
 	if _, _, err := WrapSessionKeyExtra(pub, nil, make([]byte, MaxSessionExtra)); err != nil {
 		t.Fatalf("max-size extra rejected: %v", err)

@@ -2,6 +2,7 @@ package secchan
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -190,4 +191,73 @@ func TestRecvStreamOverlongBody(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stream length") {
 		t.Fatalf("RecvStream error = %v, want length mismatch", err)
 	}
+}
+
+// fuzzEnclaveKey is the fixed enclave key FuzzUnwrapSessionKey unwraps
+// under, so checked-in seed frames stay valid across runs.
+func fuzzEnclaveKey(t testing.TB) *EnclaveKey {
+	t.Helper()
+	priv, err := ecdh.X25519().NewPrivateKey(bytes.Repeat([]byte{0x17}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &EnclaveKey{priv: priv}
+}
+
+// fuzzWrap returns a valid session-open frame for the fuzz enclave key,
+// made with a fixed ephemeral key so the bytes are reproducible.
+func fuzzWrap(t testing.TB, ephSeed byte, extra []byte) []byte {
+	t.Helper()
+	eph, err := ecdh.X25519().NewPrivateKey(bytes.Repeat([]byte{ephSeed}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wrapped, err := wrapWith(eph, fuzzEnclaveKey(t).priv.PublicKey(), nil, extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wrapped
+}
+
+// FuzzUnwrapSessionKey feeds arbitrary session-open frames to the enclave
+// side of the key exchange. The frame arrives from an unauthenticated
+// client through an untrusted router, so the unwrap must fail closed: no
+// panic, and a success only for a frame of exactly the wire shape whose
+// extra opened under the derived key.
+func FuzzUnwrapSessionKey(f *testing.F) {
+	valid := fuzzWrap(f, 0x21, []byte("0123456789abcdef012345678")) // a trace context's 25 bytes
+	badVersion := bytes.Clone(valid)
+	badVersion[0] = '{'
+	zeroKey := make([]byte, wrapOverhead)
+	zeroKey[0] = wrapVersion
+	for _, seed := range [][]byte{
+		valid,
+		fuzzWrap(f, 0x22, nil),
+		fuzzWrap(f, 0x23, bytes.Repeat([]byte{0xEE}, MaxSessionExtra)),
+		valid[:wrapOverhead-1], // shorter than version + key + tag
+		badVersion,
+		zeroKey, // low-order point: all-zero shared secret
+		nil,
+	} {
+		f.Add(seed)
+	}
+	ek := fuzzEnclaveKey(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sess, extra, err := ek.UnwrapSessionKeyExtra(data, nil)
+		if err != nil {
+			return
+		}
+		if sess == nil {
+			t.Fatal("unwrap succeeded without a session")
+		}
+		if data[0] != wrapVersion {
+			t.Fatalf("unwrap accepted version byte %#x", data[0])
+		}
+		if len(extra) > MaxSessionExtra || len(data) != wrapOverhead+len(extra) {
+			t.Fatalf("unwrap accepted a %d-byte frame with a %d-byte extra", len(data), len(extra))
+		}
+		if extra != nil && len(extra) == 0 {
+			t.Fatal("empty extra returned non-nil")
+		}
+	})
 }

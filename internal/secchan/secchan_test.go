@@ -9,8 +9,9 @@ import (
 	"engarde/internal/cycles"
 )
 
-// handshake runs the paper's key-exchange: enclave RSA pair → client wraps
-// AES key → enclave unwraps. Returns both session halves.
+// handshake runs the key exchange: enclave X25519 key → client agrees and
+// sends its session-open frame → enclave unwraps. Returns both session
+// halves.
 func handshake(t *testing.T) (enclave, client *Session) {
 	t.Helper()
 	ek, err := GenerateEnclaveKey(nil)
@@ -184,8 +185,10 @@ func TestCycleCharging(t *testing.T) {
 	if _, err := ek.UnwrapSessionKey(wrapped, ctr); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctr.Units(cycles.PhaseProvision, cycles.UnitRSAOp); got != 3 {
-		t.Errorf("RSA ops charged = %d, want 3", got)
+	// Enclave keygen 1, client ephemeral keygen + agreement 2, enclave
+	// agreement 1.
+	if got := ctr.Units(cycles.PhaseProvision, cycles.UnitKeyAgreement); got != 4 {
+		t.Errorf("key agreements charged = %d, want 4", got)
 	}
 	if _, err := client.Seal(make([]byte, 1000)); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package engarde
 
 import (
+	"bytes"
 	"context"
 	"crypto/rsa"
 	"crypto/sha256"
@@ -21,7 +22,7 @@ import (
 // (net.Conn in the cmd tools and examples):
 //
 //	enclave → client : hello      {quote, enclave public key DER}
-//	client  → enclave: key        {AES-256 key wrapped under the RSA key}
+//	client  → enclave: key        {ephemeral X25519 key + sealed extra; both derive the AES-256 key}
 //	client  → enclave: content    length header + encrypted blocks
 //	enclave → client : verdict    {compliant, reason}
 //
@@ -89,10 +90,18 @@ const maxRouteHello = MaxRouteHelloBytes
 // otherwise participating in the protocol.
 func PeekBusy(frame []byte) (Verdict, bool) {
 	var h hello
-	if err := json.Unmarshal(frame, &h); err != nil || h.Busy == nil {
+	if err := decodeJSON(frame, &h); err != nil || h.Busy == nil {
 		return Verdict{}, false
 	}
-	return *h.Busy, true
+	return busyVerdict(h.Busy), true
+}
+
+// busyVerdict normalizes a busy hello's embedded verdict. A shed is never
+// an outcome, whatever the frame claims: only the hint and the reason text
+// are taken from the wire, so a mangled busy hello cannot pose as a
+// compliant or non-compliant verdict.
+func busyVerdict(b *Verdict) Verdict {
+	return Verdict{Code: CodeBusy, Reason: b.Reason, RetryAfterMillis: max(b.RetryAfterMillis, 0)}
 }
 
 // ParseRouteHello reports whether one received frame is a routing preamble.
@@ -161,7 +170,9 @@ func quoteFromWire(w quoteWire) (Quote, error) {
 // human-readable Reason string.
 type ReasonCode string
 
-// Verdict reason codes.
+// Verdict reason codes. The client returns a verdict carrying
+// CodeSessionKey, CodeTransfer or CodeInternal as an error wrapping
+// ErrSessionFailed: those sessions ended before the image was judged.
 const (
 	// CodeOK marks a compliant verdict (the zero value, omitted on the wire).
 	CodeOK ReasonCode = ""
@@ -199,6 +210,20 @@ type Verdict struct {
 	RetryAfterMillis int64 `json:"retry_after_ms,omitempty"`
 }
 
+// wellFormed reports whether v can be a final verdict: compliant with no
+// code, or non-compliant with a known non-empty code. Anything else is a
+// mangled frame, never an outcome.
+func (v Verdict) wellFormed() bool {
+	if v.Compliant {
+		return v.Code == CodeOK
+	}
+	switch v.Code {
+	case CodeSessionKey, CodeTransfer, CodePolicy, CodeRejected, CodeInternal, CodeBusy, CodeBackendLost:
+		return true
+	}
+	return false
+}
+
 // VerdictForReport derives the wire verdict from a provisioning report.
 func VerdictForReport(rep *Report) Verdict {
 	if rep.Compliant {
@@ -224,8 +249,25 @@ func recvJSON(r io.Reader, v any) error {
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	if err := decodeJSON(data, v); err != nil {
 		return fmt.Errorf("engarde: decoding message: %w", err)
+	}
+	return nil
+}
+
+// decodeJSON decodes one protocol message strictly. The hello and the
+// verdict travel as plaintext frames, so an unknown field or trailing
+// bytes mean the frame was mangled on the way; rejecting it costs the
+// session, where a lenient decode could silently zero a field and change
+// the verdict.
+func decodeJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after message")
 	}
 	return nil
 }
@@ -320,8 +362,9 @@ func (e *Enclave) serveHandshake(tr *obs.Trace, conn io.ReadWriter) error {
 	if _, ok := ParseRouteHello(wrapped); ok {
 		// A client that announces routing metadata but connected straight to
 		// us (no router in front to strip it): discard the preamble and read
-		// the real first frame. A wrapped session key is RSA ciphertext, so
-		// it cannot be mistaken for the preamble's JSON.
+		// the real first frame. A session-open frame starts with a version
+		// byte that is never '{', so it cannot be mistaken for the
+		// preamble's JSON.
 		wrapped, err = secchan.ReadBlock(conn)
 		if err != nil {
 			sp.End()
@@ -488,7 +531,7 @@ func (c *Client) provision(conn io.ReadWriter, image []byte, tc obs.TraceContext
 	if h.Busy != nil {
 		// Shed at admission: the verdict is the whole outcome. Not an error —
 		// the protocol worked; the service just has no room right now.
-		return *h.Busy, nil
+		return busyVerdict(h.Busy), nil
 	}
 	q, err := quoteFromWire(h.Quote)
 	if err != nil {
@@ -503,9 +546,10 @@ func (c *Client) provision(conn io.ReadWriter, image []byte, tc obs.TraceContext
 		return Verdict{}, fmt.Errorf("%w: %w", ErrAttestation, err)
 	}
 
-	// The trace context rides inside the OAEP plaintext next to the AES
-	// key: authenticated end-to-end, invisible and unforgeable to the
-	// router that saw only the plaintext preamble copy.
+	// The trace context rides sealed inside the session-open frame under a
+	// key derived from the agreement: authenticated end-to-end, invisible
+	// and unforgeable to the router that saw only the plaintext preamble
+	// copy.
 	sp = tr.StartSpan("key-exchange")
 	var extra []byte
 	if tc.Valid() {
@@ -538,6 +582,15 @@ func (c *Client) provision(conn io.ReadWriter, image []byte, tc obs.TraceContext
 	sp.End()
 	if err != nil {
 		return Verdict{}, fmt.Errorf("engarde: receiving verdict: %w", err)
+	}
+	if !v.wellFormed() {
+		return Verdict{}, fmt.Errorf("engarde: receiving verdict: malformed verdict (compliant=%v, code %q)", v.Compliant, v.Code)
+	}
+	switch v.Code {
+	case CodeSessionKey, CodeTransfer, CodeInternal:
+		// The image was never judged — a fault on the wire can cause any of
+		// these — so report an availability loss, not an outcome.
+		return Verdict{}, fmt.Errorf("%w: %s: %s", ErrSessionFailed, v.Code, v.Reason)
 	}
 	return v, nil
 }

@@ -3,6 +3,7 @@ package engarde
 import (
 	"bytes"
 	"crypto/rsa"
+	"crypto/x509"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -380,5 +381,176 @@ func TestClientVerifyAnyRejectsWrongKeys(t *testing.T) {
 	}()
 	if _, err := client.Provision(cli, []byte("img")); !errors.Is(err, ErrAttestation) {
 		t.Fatalf("Provision with only a wrong platform key: err = %v, want ErrAttestation", err)
+	}
+}
+
+// TestParseRouteHelloNeverAcceptsWrappedKey: a server that discards a
+// routing preamble must never discard the session-open frame instead. The
+// frame starts with a version byte, never '{', whatever extra it carries.
+func TestParseRouteHelloNeverAcceptsWrappedKey(t *testing.T) {
+	provider, err := NewProvider(ProviderConfig{EPCPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl, err := provider.CreateEnclave(smallEnclave())
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, err := encl.PublicKeyDER()
+	if err != nil {
+		t.Fatal(err)
+	}
+	preamble, err := json.Marshal(RouteHello{Proto: RouteProto, ImageDigest: "abc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]byte{nil, preamble, bytes.Repeat([]byte{'{'}, secchan.MaxSessionExtra)} {
+		for i := 0; i < 16; i++ {
+			_, wrapped, err := secchan.WrapSessionKeyExtra(der, nil, extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := ParseRouteHello(wrapped); ok {
+				t.Fatalf("ParseRouteHello accepted a session-open frame: %x", wrapped)
+			}
+		}
+	}
+}
+
+// TestWrapRefusesPlatformRSAKey: the client agrees only with an X25519
+// enclave key. An RSA key — here the platform's own attestation key — is
+// refused before any key material is made.
+func TestWrapRefusesPlatformRSAKey(t *testing.T) {
+	provider, err := NewProvider(ProviderConfig{EPCPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, err := x509.MarshalPKIXPublicKey(provider.AttestationPublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := secchan.WrapSessionKey(der, nil); err == nil {
+		t.Fatal("WrapSessionKey accepted an RSA key")
+	}
+}
+
+// handBuiltVerdictServer returns a function that runs a genuine enclave's
+// handshake by hand, drains the client's session-open frame and content
+// stream, and answers with the raw verdict frame given. It returns what
+// the client made of that frame.
+func handBuiltVerdictServer(t *testing.T) func(verdictFrame string) (Verdict, error) {
+	t.Helper()
+	provider, err := NewProvider(ProviderConfig{EPCPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expected, err := ExpectedMeasurement(SGXv2, smallEnclave())
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl, err := provider.CreateEnclave(smallEnclave())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := encl.Quote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, err := encl.PublicKeyDER()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &Client{Expected: expected, PlatformKey: provider.AttestationPublicKey()}
+	return func(verdictFrame string) (Verdict, error) {
+		cli, srv := net.Pipe()
+		defer cli.Close()
+		go func() {
+			defer srv.Close()
+			if sendJSON(srv, hello{Quote: quoteToWire(q), PublicKey: der}) != nil {
+				return
+			}
+			// Session-open frame, stream header, one 3-byte content block.
+			for i := 0; i < 3; i++ {
+				if _, err := secchan.ReadBlock(srv); err != nil {
+					return
+				}
+			}
+			_ = secchan.WriteBlock(srv, []byte(verdictFrame))
+		}()
+		return client.Provision(cli, []byte("img"))
+	}
+}
+
+// TestClientRejectsMalformedVerdict: the verdict frame is plaintext, so a
+// fault on the wire can mangle it. A mangled verdict must surface as an
+// error — costing availability — never as an outcome.
+func TestClientRejectsMalformedVerdict(t *testing.T) {
+	serve := handBuiltVerdictServer(t)
+	for _, frame := range []string{
+		`{"compliant":true,"code":"policy-violation"}`, // compliant with a code
+		`{"compliant":false}`,                          // non-compliant without one
+		`{"compliant":false,"code":"made-up"}`,         // unknown code
+		`{"compliant":true,"cod3":"x"}`,                // unknown key
+		`{"complia.t":true}`,                           // mangled key zeroes the field
+		`{"compliant":true}{}`,                         // trailing data
+	} {
+		if v, err := serve(frame); err == nil {
+			t.Errorf("verdict frame %s accepted as %+v", frame, v)
+		}
+	}
+	// A failure code that means the image was never judged is an error
+	// the retry loop treats as transient, never a verdict.
+	for _, code := range []ReasonCode{CodeSessionKey, CodeTransfer, CodeInternal} {
+		v, err := serve(`{"compliant":false,"code":"` + string(code) + `"}`)
+		if !errors.Is(err, ErrSessionFailed) || ClassifyFailure(err) != FailTransient {
+			t.Errorf("%s verdict = %+v, %v; want a transient ErrSessionFailed", code, v, err)
+		}
+	}
+	for frame, want := range map[string]Verdict{
+		`{"compliant":true}`: {Compliant: true},
+		`{"compliant":false,"code":"policy-violation","reason":"r"}`: {Code: CodePolicy, Reason: "r"},
+	} {
+		if v, err := serve(frame); err != nil || v != want {
+			t.Errorf("verdict frame %s = %+v, %v; want %+v", frame, v, err, want)
+		}
+	}
+}
+
+// TestBusyHelloIsAlwaysBusy: whatever a busy hello's embedded verdict says,
+// the client and the router see a shed, never an outcome. An unknown key
+// in the hello is a mangled frame and an error.
+func TestBusyHelloIsAlwaysBusy(t *testing.T) {
+	busyHello := func(frame string) (Verdict, error) {
+		cli, srv := net.Pipe()
+		defer cli.Close()
+		go func() {
+			defer srv.Close()
+			_ = secchan.WriteBlock(srv, []byte(frame))
+		}()
+		return (&Client{}).Provision(cli, []byte("img"))
+	}
+	for frame, want := range map[string]Verdict{
+		`{"busy":{"compliant":true}}`: {Code: CodeBusy},
+		`{"busy":{"compliant":false,"code":"policy-violation","retry_after_ms":7}}`: {Code: CodeBusy, RetryAfterMillis: 7},
+		`{"busy":{"code":"busy","retry_after_ms":-5}}`:                              {Code: CodeBusy},
+	} {
+		v, err := busyHello(frame)
+		if err != nil || v != want {
+			t.Errorf("busy hello %s = %+v, %v; want %+v", frame, v, err, want)
+		}
+		if pv, ok := PeekBusy([]byte(frame)); !ok || pv != want {
+			t.Errorf("PeekBusy(%s) = %+v, %v; want %+v", frame, pv, ok, want)
+		}
+	}
+	for _, frame := range []string{
+		`{"busy":{"code":"busy"},"bogus":1}`,
+		`{"busy":{"code":"busy","bogus":1}}`,
+	} {
+		if v, err := busyHello(frame); err == nil {
+			t.Errorf("hello %s with an unknown key accepted as %+v", frame, v)
+		}
+		if _, ok := PeekBusy([]byte(frame)); ok {
+			t.Errorf("PeekBusy accepted %s", frame)
+		}
 	}
 }

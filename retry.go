@@ -40,6 +40,12 @@ var ErrBusy = errors.New("engarde: service busy")
 // right response is to replay provisioning against the next endpoint.
 var ErrSessionLost = errors.New("engarde: session lost mid-flight")
 
+// ErrSessionFailed marks a session the server ended with a failure code
+// instead of judging the image: the session key or the transfer was
+// rejected, or the provisioning machinery failed. It says nothing about
+// the image, so it is transient, never a verdict.
+var ErrSessionFailed = errors.New("engarde: session failed before a verdict")
+
 // FailureClass is the typed classification driving the failover loop.
 type FailureClass int
 
