@@ -13,10 +13,9 @@ import (
 type ChaosConn struct {
 	net.Conn
 	in *injector
+	applied
 
-	// Injected counts faults actually applied, by Action.
-	injected [ActError + 1]atomic.Uint64
-	closed   atomic.Bool
+	closed atomic.Bool
 }
 
 // WrapConn applies a fault schedule to conn.
@@ -24,50 +23,62 @@ func WrapConn(conn net.Conn, s Schedule) *ChaosConn {
 	return &ChaosConn{Conn: conn, in: newInjector(s)}
 }
 
+// applied counts faults actually applied, by Action.
+type applied [ActError + 1]atomic.Uint64
+
+func (c *applied) note(a Action) { c[a].Add(1) }
+
 // Injected reports how many faults of each kind have been applied.
-func (c *ChaosConn) Injected() map[Action]uint64 {
+func (c *applied) Injected() map[Action]uint64 {
 	out := make(map[Action]uint64)
 	for a := ActLatency; a <= ActError; a++ {
-		if n := c.injected[a].Load(); n > 0 {
+		if n := c[a].Load(); n > 0 {
 			out[a] = n
 		}
 	}
 	return out
 }
 
-func (c *ChaosConn) note(a Action) { c.injected[a].Add(1) }
-
 func (c *ChaosConn) Read(b []byte) (int, error) {
-	switch a := c.in.decide(OpRead); a {
-	case ActStall:
-		c.note(a)
-		time.Sleep(c.in.sched.Stall)
-	case ActLatency:
-		c.note(a)
-		time.Sleep(c.in.sched.Latency)
-	case ActError:
-		c.note(a)
-		return 0, ErrInjected
-	case ActTruncate:
-		c.note(a)
+	return c.in.read(b, c.Conn.Read, func() {
 		c.closed.Store(true)
 		c.Conn.Close()
+	}, c.note)
+}
+
+// read applies the next read decision to one read call: kill tears the
+// stream down on an injected truncation, and note counts each fault
+// applied.
+func (in *injector) read(b []byte, read func([]byte) (int, error), kill func(), note func(Action)) (int, error) {
+	switch a := in.decide(OpRead); a {
+	case ActStall:
+		note(a)
+		time.Sleep(in.sched.Stall)
+	case ActLatency:
+		note(a)
+		time.Sleep(in.sched.Latency)
+	case ActError:
+		note(a)
+		return 0, ErrInjected
+	case ActTruncate:
+		note(a)
+		kill()
 		return 0, io.ErrUnexpectedEOF
 	case ActPartial:
 		if len(b) > 1 {
-			c.note(a)
+			note(a)
 			b = b[:1]
 		}
 	case ActBitFlip:
-		n, err := c.Conn.Read(b)
+		n, err := read(b)
 		if n > 0 {
-			c.note(a)
-			i, bit := c.in.flipBit(n)
+			note(a)
+			i, bit := in.flipBit(n)
 			b[i] ^= 1 << bit
 		}
 		return n, err
 	}
-	return c.Conn.Read(b)
+	return read(b)
 }
 
 func (c *ChaosConn) Write(b []byte) (int, error) {
@@ -115,3 +126,26 @@ func (c *ChaosConn) Close() error {
 	c.closed.Store(true)
 	return c.Conn.Close()
 }
+
+// ChaosReader applies a schedule's read faults to a stream that is not a
+// connection, such as an HTTP message body. A bit flipped at the
+// connection can land in framing the receiver never reads (an HTTP header
+// it ignores), leaving the exchange intact; one flipped here always lands
+// in the payload.
+type ChaosReader struct {
+	r  io.ReadCloser
+	in *injector
+	applied
+}
+
+// WrapReader applies a fault schedule to r's reads.
+func WrapReader(r io.ReadCloser, s Schedule) *ChaosReader {
+	return &ChaosReader{r: r, in: newInjector(s)}
+}
+
+func (c *ChaosReader) Read(b []byte) (int, error) {
+	return c.in.read(b, c.r.Read, func() { c.r.Close() }, c.note)
+}
+
+// Close closes the underlying stream.
+func (c *ChaosReader) Close() error { return c.r.Close() }

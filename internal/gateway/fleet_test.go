@@ -124,6 +124,27 @@ func TestGatewayRemoteMemoSharing(t *testing.T) {
 	}
 }
 
+// bodyFlipper is an HTTP transport that runs every request body and every
+// response body through a faults.ChaosReader on its own schedule.
+type bodyFlipper struct {
+	next  http.RoundTripper
+	sched faults.Schedule
+}
+
+func (b bodyFlipper) RoundTrip(req *http.Request) (*http.Response, error) {
+	out := req.Clone(req.Context())
+	if req.Body != nil {
+		out.Body = faults.WrapReader(req.Body, b.sched)
+		out.GetBody = nil // a retry must not resend the body unflipped
+	}
+	resp, err := b.next.RoundTrip(out)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = faults.WrapReader(resp.Body, b.sched)
+	return resp, nil
+}
+
 // TestGatewayRemoteMemoChaosEquivalence is the resilience acceptance test:
 // a fleet peer set consisting of one dead endpoint and one byte-flipping
 // endpoint must trip the remote tier's circuit breaker and degrade the
@@ -139,9 +160,11 @@ func TestGatewayRemoteMemoChaosEquivalence(t *testing.T) {
 	deadLn.Close()
 
 	// Byte-flipping peer: a real memo server reached through a transport
-	// that flips one bit in every read and write, so every exchange is
-	// mangled on the wire. The CRC-framed record format must reject all
-	// of it.
+	// that flips one bit in every read of every request and response body,
+	// so every exchange's payload is mangled. The CRC-framed record format
+	// must reject all of it. (Flipping at the connection instead lets a
+	// flip land in an HTTP header the peer ignores; the put then arrives
+	// intact and is rightly stored, and the 204 resets the breaker.)
 	peerCache, err := memo.Open(memo.Config{Entries: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -149,16 +172,9 @@ func TestGatewayRemoteMemoChaosEquivalence(t *testing.T) {
 	defer peerCache.Close()
 	flipSrv := httptest.NewServer(http.StripPrefix("/memoz", memo.Handler(peerCache)))
 	defer flipSrv.Close()
-	dialer := &net.Dialer{Timeout: time.Second}
-	chaosClient := &http.Client{Transport: &http.Transport{
-		DisableKeepAlives: true,
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			conn, err := dialer.DialContext(ctx, network, addr)
-			if err != nil {
-				return nil, err
-			}
-			return faults.WrapConn(conn, faults.Schedule{Seed: 11, BitFlipProb: 1}), nil
-		},
+	chaosClient := &http.Client{Transport: bodyFlipper{
+		next:  &http.Transport{DisableKeepAlives: true},
+		sched: faults.Schedule{Seed: 11, BitFlipProb: 1},
 	}}
 
 	control, lnControl, clientControl := testGateway(t, gateway.Config{

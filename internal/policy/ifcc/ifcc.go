@@ -108,11 +108,13 @@ func (c *checker) scanRange(ctx *policy.Context, lo, hi int) (int, error) {
 	m := c.m
 	p := ctx.Program
 	sites := 0
+	var t policy.Tally
+	defer t.Flush(ctx)
 	for i := lo; i < hi; i++ {
 		// Visiting an instruction means inspecting its opcode and both
 		// operand slots for the indirect-call shape.
-		ctx.ChargeScan(1)
-		ctx.ChargePattern(3)
+		t.Scan++
+		t.Pattern += 3
 		in := &p.Insts[i]
 		if !in.IsIndirectCall() {
 			continue

@@ -20,6 +20,7 @@ package liblink
 import (
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"sort"
 	"sync/atomic"
 
@@ -93,12 +94,17 @@ type checker struct {
 }
 
 // CheckSpan scans instructions [lo, hi) for direct calls and verifies each
-// resolvable target against the approved-library database.
+// resolvable target against the approved-library database. Its charges
+// are tallied and flushed on return; one hasher serves every call site of
+// the span (spans run concurrently, so it is not the checker's).
 func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
+	var t policy.Tally
+	defer t.Flush(ctx)
 	m := c.m
 	p := ctx.Program
+	h := siteHasher{h: sha256.New()}
 	for i := lo; i < hi; i++ {
-		ctx.ChargeScan(1)
+		t.Scan++
 		in := &p.Insts[i]
 		if !in.IsDirectCall() {
 			continue
@@ -108,7 +114,7 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 			continue
 		}
 		// Resolve the target through the symbol hash table.
-		ctx.ChargeLookup(1)
+		t.Lookup++
 		name, ok := ctx.Symbols.NameAt(target)
 		if !ok {
 			return &policy.Violation{
@@ -128,11 +134,11 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 		} else {
 			var n uint64
 			var err error
-			got, n, err = m.hashFunction(ctx, target)
+			got, n, err = m.hashFunction(ctx, &t, &h, target)
 			if err != nil {
 				return err
 			}
-			ctx.ChargeHash(n)
+			t.Hash(n)
 		}
 		want, inDB := m.db[name]
 		if !inDB {
@@ -178,13 +184,20 @@ func digestFor(ctx *policy.Context, addr uint64) ([sha256.Size]byte, bool) {
 	return d, ok
 }
 
+// siteHasher is a reusable SHA-256 state with its own output buffer, so
+// hashing a call site's target allocates nothing.
+type siteHasher struct {
+	h   hash.Hash
+	sum []byte
+}
+
 // hashFunction hashes the instructions of the function starting at addr,
 // stopping at the first instruction that begins another function (paper
 // §5: "the policy module sequentially reads instructions starting from the
 // computed target address and stops when it comes across an instruction
 // that is at the beginning of another function"). It returns the hash and
-// the number of bytes hashed.
-func (m *Module) hashFunction(ctx *policy.Context, addr uint64) ([sha256.Size]byte, uint64, error) {
+// the number of bytes hashed; its symbol lookups go to t.
+func (m *Module) hashFunction(ctx *policy.Context, t *policy.Tally, h *siteHasher, addr uint64) ([sha256.Size]byte, uint64, error) {
 	p := ctx.Program
 	idx, ok := p.InstAt(addr)
 	if !ok {
@@ -193,22 +206,23 @@ func (m *Module) hashFunction(ctx *policy.Context, addr uint64) ([sha256.Size]by
 			Reason: "call target is not an instruction boundary",
 		}
 	}
-	h := sha256.New()
+	h.h.Reset()
 	var n uint64
 	for i := idx; i < len(p.Insts); i++ {
 		in := &p.Insts[i]
 		if i > idx {
 			// The symbol hash table tells us whether this instruction
 			// starts another function.
-			ctx.ChargeLookup(1)
+			t.Lookup++
 			if ctx.Symbols.IsFuncStart(in.Addr) {
 				break
 			}
 		}
-		h.Write(in.Raw)
+		h.h.Write(in.Raw)
 		n += uint64(len(in.Raw))
 	}
 	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
+	h.sum = h.h.Sum(h.sum[:0])
+	copy(sum[:], h.sum)
 	return sum, n, nil
 }

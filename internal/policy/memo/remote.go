@@ -255,8 +255,10 @@ func (r *remoteTier) getOnce(peer string, body []byte) ([]Record, error) {
 	// Trailing garbage means a corrupt (or byte-flipped) response: the valid
 	// prefix is still discarded — a peer that cannot frame its response
 	// cannot be trusted to have framed the records either, and a miss is
-	// always sound.
-	if good != int64(len(data)) {
+	// always sound. A peer frames even an empty answer with the magic, so
+	// an empty body (a Content-Length flipped to 0) is corrupt too, not a
+	// healthy miss.
+	if good == 0 || good != int64(len(data)) {
 		return nil, fmt.Errorf("memo: peer %s: corrupt response (%d of %d bytes valid)", peer, good, len(data))
 	}
 	return recs, nil

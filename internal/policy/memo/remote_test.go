@@ -217,6 +217,31 @@ func TestRemoteByteFlippingPeerTripsBreaker(t *testing.T) {
 	}
 }
 
+// TestRemoteEmptyResponseIsFault: a peer frames even an empty answer with
+// the record magic, so a 200 with no body (say, a Content-Length flipped
+// to 0 on the wire) is a corrupt exchange that counts against the
+// breaker, not a healthy miss that resets it.
+func TestRemoteEmptyResponseIsFault(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer srv.Close()
+	local, err := memo.Open(memo.Config{Entries: 64, Remote: memo.RemoteConfig{
+		Peers:    []string{srv.URL},
+		PutQueue: -1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if recs := local.FetchRemote([]memo.Key{remoteKey(9)}); len(recs) != 0 {
+		t.Fatalf("FetchRemote = %+v from an empty response", recs)
+	}
+	if st := local.Stats(); st.RemoteFaults != 1 || st.RemoteMisses != 0 {
+		t.Fatalf("stats = %+v, want the empty response counted as one fault", st)
+	}
+}
+
 func TestRemoteHandlerRejectsGarbage(t *testing.T) {
 	c, err := memo.Open(memo.Config{Entries: 16})
 	if err != nil {

@@ -112,9 +112,11 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 func (c *checker) scanRange(ctx *policy.Context, lo, hi int) error {
 	m := c.m
 	p := ctx.Program
+	var t policy.Tally
+	defer t.Flush(ctx)
 	for i := lo; i < hi; i++ {
-		ctx.ChargeScan(1)
-		ctx.ChargePattern(1)
+		t.Scan++
+		t.Pattern++
 		in := &p.Insts[i]
 		if m.deny[in.Op] {
 			return &policy.Violation{

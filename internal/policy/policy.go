@@ -62,9 +62,37 @@ func (c *Context) ChargeHash(n uint64) {
 }
 
 func (c *Context) charge(u cycles.Unit, n uint64) {
-	if c.Counter != nil {
+	if c.Counter != nil && n != 0 {
 		c.Counter.Charge(cycles.PhasePolicy, u, n)
 	}
+}
+
+// Tally counts policy-phase work in locals, so a hot loop pays one counter
+// update per unit instead of one atomic add per step. Charges are sums, so
+// a flushed tally leaves every unit and cycle total exactly where the
+// per-step Charge calls would have. Flush before every return, violations
+// included: CheckParallel folds a failing span's stage, and it must hold
+// everything the span did up to the failure.
+type Tally struct {
+	Scan, Lookup, Pattern uint64
+	// Hashes and HashedBytes count SHA-256 computations and their input.
+	Hashes, HashedBytes uint64
+}
+
+// Hash records one SHA-256 computation over n bytes, like ChargeHash.
+func (t *Tally) Hash(n uint64) {
+	t.Hashes++
+	t.HashedBytes += n
+}
+
+// Flush charges the tally to ctx and zeroes it.
+func (t *Tally) Flush(ctx *Context) {
+	ctx.ChargeScan(t.Scan)
+	ctx.ChargeLookup(t.Lookup)
+	ctx.ChargePattern(t.Pattern)
+	ctx.charge(cycles.UnitHashInit, t.Hashes)
+	ctx.charge(cycles.UnitHashedByte, t.HashedBytes)
+	*t = Tally{}
 }
 
 // Violation is the error a module returns when the client's code is not

@@ -4,6 +4,7 @@
 package policytest
 
 import (
+	"reflect"
 	"testing"
 
 	"engarde/internal/cycles"
@@ -43,4 +44,43 @@ func Build(t *testing.T, cfg toolchain.Config) *toolchain.Binary {
 		t.Fatalf("policytest: build: %v", err)
 	}
 	return bin
+}
+
+// Fresh returns a copy of ctx with a new default-model counter, so two
+// checks of one program can be compared charge for charge.
+func Fresh(ctx *policy.Context) *policy.Context {
+	c := *ctx
+	c.Counter = cycles.NewCounter(cycles.DefaultModel())
+	return &c
+}
+
+// PolicyUnits returns the policy-phase count of every cycle-model unit,
+// keyed by unit name, plus the phase's cycle total under "cycles".
+func PolicyUnits(c *cycles.Counter) map[string]uint64 {
+	out := map[string]uint64{"cycles": c.Cycles(cycles.PhasePolicy)}
+	for u := range len(cycles.Model{}) {
+		unit := cycles.Unit(u)
+		out[unit.String()] = c.Units(cycles.PhasePolicy, unit)
+	}
+	return out
+}
+
+// SameCheck fails t unless two checks had the same outcome — both nil, or
+// errors whose Violations (or, for other errors, texts) are equal — and
+// charged exactly the same policy-phase units.
+func SameCheck(t testing.TB, label string, got, want error, gotCtr, wantCtr *cycles.Counter) {
+	t.Helper()
+	gv, gok := policy.AsViolation(got)
+	wv, wok := policy.AsViolation(want)
+	switch {
+	case gok != wok || (got == nil) != (want == nil):
+		t.Errorf("%s: err = %v, reference %v", label, got, want)
+	case gok && !reflect.DeepEqual(gv, wv):
+		t.Errorf("%s: violation = %+v, reference %+v", label, gv, wv)
+	case !gok && got != nil && got.Error() != want.Error():
+		t.Errorf("%s: err = %v, reference %v", label, got, want)
+	}
+	if g, w := PolicyUnits(gotCtr), PolicyUnits(wantCtr); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: charged units = %v, reference %v", label, g, w)
+	}
 }

@@ -17,16 +17,26 @@
 // preceding instruction computes it from %fs:0x28, then searches the
 // function for a cmp against the same stack slot whose own source was
 // freshly reloaded from %fs:0x28, followed by a jne whose target is a call
-// to __stack_chk_fail. Every stack-affecting store triggers a fresh search,
-// so the check is superlinear in function size — which is why 401.bzip2
-// (few gigantic functions) costs more than Nginx (thousands of small ones)
-// despite having an order of magnitude fewer instructions.
+// to __stack_chk_fail.
+//
+// In the paper every stack-affecting store triggers a fresh search, so the
+// check is superlinear in function size — which is why 401.bzip2 (few
+// gigantic functions) costs more than Nginx (thousands of small ones)
+// despite having an order of magnitude fewer instructions. Here that search
+// is the cycle model's charge, not the wall clock's: one pass indexes each
+// stack slot's first compare, each candidate looks its slot up, and the
+// model is charged in closed form exactly what the search would have
+// visited. Figure 4's shape comes out of the charges unchanged while the
+// check itself runs in time linear in the function (plus a sort of its
+// compares).
 package stackprot
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"engarde/internal/policy"
 	"engarde/internal/symtab"
@@ -45,10 +55,12 @@ type Module struct {
 	// EarlyExit stops scanning a function at the first complete canary
 	// chain. The paper's implementation visits every stack-affecting
 	// instruction ("continues with the next iteration until it reaches the
-	// end of the instruction buffer"), which is what makes the check
-	// superlinear in function size — the mechanism behind Figure 4's
-	// bzip2-costs-more-than-Nginx inversion. EarlyExit is the obvious
-	// optimization; BenchmarkAblationStackprotEarlyExit quantifies it.
+	// end of the instruction buffer") and searches the function for each,
+	// which is what makes its cost superlinear in function size — the
+	// mechanism behind Figure 4's bzip2-costs-more-than-Nginx inversion.
+	// The module charges that search in the cycle model but runs it as an
+	// index lookup, so EarlyExit mostly saves charged cycles, not wall
+	// clock; BenchmarkAblationStackprotEarlyExit quantifies it.
 	EarlyExit bool
 }
 
@@ -104,6 +116,9 @@ type checker struct {
 func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 	m := c.m
 	p := ctx.Program
+	// Spans run concurrently on one checker, so the scratch index is
+	// per call; its backing array is reused across the span's functions.
+	var idx slotIndex
 	for _, fn := range policy.FuncsInSpan(p, c.funcs, lo, hi) {
 		startIdx, ok := p.InstAt(fn.Addr)
 		if !ok {
@@ -120,7 +135,7 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 			}
 		}
 		if c.memo {
-			if done, err := c.checkMemo(ctx, fn, startIdx, endIdx); done {
+			if done, err := c.checkMemo(ctx, &idx, fn, startIdx, endIdx); done {
 				if err != nil {
 					return err
 				}
@@ -132,7 +147,7 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 			// frame to protect; Clang does not instrument them either.
 			continue
 		}
-		if _, err := m.checkFunction(ctx, fn.Name, startIdx, endIdx); err != nil {
+		if _, err := m.checkFunction(ctx, &idx, fn.Name, startIdx, endIdx); err != nil {
 			return err
 		}
 	}
@@ -148,7 +163,7 @@ func (c *checker) Finish(ctx *policy.Context) error { return nil }
 // NextFuncAfter disagrees with the digest span's, so the memoized bytes
 // would not be the bytes this module inspects — and the caller must take
 // the cold path.
-func (c *checker) checkMemo(ctx *policy.Context, fn symtab.Entry, startIdx, endIdx int) (done bool, err error) {
+func (c *checker) checkMemo(ctx *policy.Context, idx *slotIndex, fn symtab.Entry, startIdx, endIdx int) (done bool, err error) {
 	m := c.m
 	sp, ok := ctx.Memo.Span(fn.Addr)
 	if !ok || sp.StartIdx != startIdx || sp.EndIdx != endIdx {
@@ -163,11 +178,12 @@ func (c *checker) checkMemo(ctx *policy.Context, fn symtab.Entry, startIdx, endI
 		ctx.Memo.Record(c.fp, fn.Addr, nil)
 		return true, nil
 	}
-	payload, err := m.checkFunction(ctx, fn.Name, startIdx, endIdx)
+	witness, err := m.checkFunction(ctx, idx, fn.Name, startIdx, endIdx)
 	if err != nil {
 		return true, err
 	}
-	ctx.Memo.Record(c.fp, fn.Addr, payload)
+	rel := int64(witness) - int64(p.Insts[startIdx].Addr)
+	ctx.Memo.Record(c.fp, fn.Addr, binary.AppendVarint(nil, rel))
 	return true, nil
 }
 
@@ -237,26 +253,43 @@ func nextNonNop(insts []x86.Inst, i int) int {
 }
 
 // checkFunction verifies the canary chain within one function. On success
-// it returns the memo revalidation payload: the first complete chain's jne
-// target, encoded function-relative.
-func (m *Module) checkFunction(ctx *policy.Context, name string, start, end int) ([]byte, error) {
+// it returns the jne target of the first complete chain: the witness that
+// checkMemo encodes as the memo revalidation payload. idx is the caller's
+// scratch index, rebuilt here for this function.
+//
+// The paper's algorithm searches the whole function for a matching cmp on
+// every candidate store. The result of that search depends only on the
+// slot, so one pass indexes each slot's first compare and every candidate
+// becomes a lookup. The cycle model still charges the search: j+1 visits
+// when the slot's first compare sits at index j, the function length when
+// there is none, one ScanInst and two PatternSteps per visit.
+func (m *Module) checkFunction(ctx *policy.Context, idx *slotIndex, name string, start, end int) (uint64, error) {
 	p := ctx.Program
 	insts := p.Insts[start:end]
+	n := uint64(len(insts))
+	idx.build(insts)
+	var t policy.Tally
 	protected := false
 	var witness uint64 // jne target of the first complete chain
 
 	for i := range insts {
-		ctx.ChargeScan(1)
+		t.Scan++
 		in := &insts[i]
 		// Candidate: a store that affects the stack's variables.
 		slot, srcReg, ok := stackStore(in)
 		if !ok {
 			continue
 		}
-		ctx.ChargePattern(2)
-		// Search the function for a cmp against the same stack slot; the
-		// paper performs this containment search for every candidate.
-		j, cmpReg, found := m.findCanaryCompare(ctx, insts, slot)
+		t.Pattern += 2
+		// The containment search for a cmp against the same stack slot,
+		// charged as if it had been run.
+		site, found := idx.first(slot)
+		visits := n
+		if found {
+			visits = uint64(site.j) + 1
+		}
+		t.Scan += visits
+		t.Pattern += 2 * visits // opcode + both operands inspected per visit
 		if !found {
 			continue
 		}
@@ -266,9 +299,9 @@ func (m *Module) checkFunction(ctx *policy.Context, name string, start, end int)
 		if pi < 0 || !canaryLoad(&insts[pi], srcReg) {
 			continue
 		}
-		ctx.ChargePattern(1)
+		t.Pattern++
 		// ... and the rest of the verification chain must hang off the cmp.
-		if tgt, ok := m.verifyChain(ctx, insts, j, cmpReg); ok {
+		if tgt, ok := m.verifyChain(ctx, &t, insts, site.j, site.reg); ok {
 			if !protected {
 				protected = true
 				witness = tgt
@@ -278,36 +311,68 @@ func (m *Module) checkFunction(ctx *policy.Context, name string, start, end int)
 			}
 		}
 	}
+	t.Flush(ctx)
 	if !protected {
-		return nil, &policy.Violation{
+		return 0, &policy.Violation{
 			Module: m.Name(), Addr: insts[0].Addr,
 			Reason: fmt.Sprintf("function %s lacks -fstack-protector instrumentation", name),
 		}
 	}
-	return binary.AppendVarint(nil, int64(witness)-int64(insts[0].Addr)), nil
+	return witness, nil
 }
 
-// findCanaryCompare scans the whole function for "cmp slot(%rsp), REG",
-// charging per instruction visited — the containment search the paper
-// performs per candidate store.
-func (m *Module) findCanaryCompare(ctx *policy.Context, insts []x86.Inst, slot int64) (int, x86.Reg, bool) {
+// cmpSite is the first "cmp slot(%rsp), REG" against one stack slot, at
+// function-relative index j.
+type cmpSite struct {
+	slot int64
+	j    int
+	reg  x86.Reg
+}
+
+// slotIndex maps each stack slot of one function to its first canary
+// compare. It is a sorted slice rather than a map: the client controls how
+// many distinct slots a function has, a lookup stays O(log k) either way,
+// and reusing the slice across functions costs no clearing.
+type slotIndex struct {
+	sites []cmpSite
+}
+
+// build indexes insts. Sites are appended in index order and sorted by
+// (slot, j), so each slot's first compare leads its run.
+func (x *slotIndex) build(insts []x86.Inst) {
+	x.sites = x.sites[:0]
 	for j := range insts {
-		ctx.ChargeScan(1)
-		ctx.ChargePattern(2) // opcode + both operands inspected per visit
-		if reg, ok := canaryCompare(&insts[j], slot); ok {
-			return j, reg, true
+		if slot, reg, ok := canaryCompare(&insts[j]); ok {
+			x.sites = append(x.sites, cmpSite{slot: slot, j: j, reg: reg})
 		}
 	}
-	return 0, 0, false
+	slices.SortFunc(x.sites, func(a, b cmpSite) int {
+		if c := cmp.Compare(a.slot, b.slot); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.j, b.j)
+	})
+}
+
+// first returns the slot's first compare, as the paper's linear search
+// from the top of the function would find it.
+func (x *slotIndex) first(slot int64) (cmpSite, bool) {
+	i, found := slices.BinarySearchFunc(x.sites, slot, func(s cmpSite, slot int64) int {
+		return cmp.Compare(s.slot, slot)
+	})
+	if !found {
+		return cmpSite{}, false
+	}
+	return x.sites[i], true
 }
 
 // verifyChain checks the epilogue chain hanging off the cmp at index j:
 // a canary reload just before it, a jne just after, and a jne target that
 // is (or falls through NOPs to) callq __stack_chk_fail. On success it
-// returns the jne target — the memo payload's witness.
-func (m *Module) verifyChain(ctx *policy.Context, insts []x86.Inst, j int, cmpReg x86.Reg) (uint64, bool) {
+// returns the jne target — the memo payload's witness. Its charges go to t.
+func (m *Module) verifyChain(ctx *policy.Context, t *policy.Tally, insts []x86.Inst, j int, cmpReg x86.Reg) (uint64, bool) {
 	p := ctx.Program
-	ctx.ChargePattern(3)
+	t.Pattern += 3
 	pj := prevNonNop(insts, j)
 	if pj < 0 || !canaryLoad(&insts[pj], cmpReg) {
 		return 0, false
@@ -338,7 +403,7 @@ func (m *Module) verifyChain(ctx *policy.Context, insts []x86.Inst, j int, cmpRe
 	if !ok {
 		return 0, false
 	}
-	ctx.ChargeLookup(1)
+	t.Lookup++
 	fname, ok := ctx.Symbols.NameAt(callTgt)
 	if !ok || fname != FailFunc {
 		return 0, false
@@ -369,13 +434,15 @@ func canaryLoad(in *x86.Inst, reg x86.Reg) bool {
 		in.Args[0].IsReg(reg) && in.Args[1].IsSegDisp(x86.SegFS, CanaryTLSOffset)
 }
 
-// canaryCompare matches "cmp slot(%rsp), REG" and returns REG.
-func canaryCompare(in *x86.Inst, slot int64) (x86.Reg, bool) {
-	if in.Op != x86.OpCmp || in.NArgs != 2 {
-		return 0, false
+// canaryCompare matches "cmp slot(%rsp), REG" and returns the slot and
+// REG.
+func canaryCompare(in *x86.Inst) (slot int64, reg x86.Reg, ok bool) {
+	if in.Op != x86.OpCmp || in.NArgs != 2 || in.Args[0].Kind != x86.KindReg {
+		return 0, 0, false
 	}
-	if in.Args[0].Kind != x86.KindReg || !in.Args[1].IsMemBaseDisp(x86.RegSP, slot) {
-		return 0, false
+	mem := in.Args[1]
+	if !mem.IsMemBaseDisp(x86.RegSP, mem.Mem.Disp) {
+		return 0, 0, false
 	}
-	return in.Args[0].Reg, true
+	return mem.Mem.Disp, in.Args[0].Reg, true
 }
