@@ -8,10 +8,6 @@ package engarde_test
 //	BenchmarkFig4/<benchmark>   — Figure 4 (stack-protection policy)
 //	BenchmarkFig5/<benchmark>   — Figure 5 (IFCC policy)
 //
-// BenchmarkGatewayThroughput goes beyond the paper: it measures the
-// multi-tenant serving layer (internal/gateway) end to end, contrasting
-// cold provisioning against verdict-cache hits.
-//
 // Each Fig3-5 benchmark runs the full EnGarde pipeline (enclave creation,
 // staging, disassembly, policy check, load) over the named workload and
 // reports the paper's three cycle columns as benchmark metrics, so
@@ -374,56 +370,6 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewayThroughput measures end-to-end sessions/sec through the
-// gateway serving layer — full protocol (attestation, key exchange,
-// encrypted transfer) per session, 4 concurrent clients:
-//
-//	cold      — byte-distinct images, cache disabled: every session pays
-//	            disassembly + policy checking.
-//	cache-hit — one image, cache warm after the first session: the checks
-//	            are skipped, only load + protocol remain.
-//
-// The ratio between the two is the amortization the verdict cache buys a
-// provider serving repeated tenant binaries.
-func BenchmarkGatewayThroughput(b *testing.B) {
-	coldImages, err := bench.DistinctImages(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, cfg bench.GatewayLoadConfig) {
-		cfg.Sessions = b.N
-		res, err := bench.RunGatewayLoad(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SessionsPerSec, "sessions/s")
-		b.ReportMetric(res.Stats.CacheHitRate, "hit-rate")
-	}
-	b.Run("cold", func(b *testing.B) {
-		run(b, bench.GatewayLoadConfig{Images: coldImages, CacheEntries: -1})
-	})
-	// The seq/par8 pair isolates the parallel pipeline's effect on cold
-	// sessions: identical load, workers pinned to 1 vs 8.
-	b.Run("cold-seq", func(b *testing.B) {
-		run(b, bench.GatewayLoadConfig{Images: coldImages, CacheEntries: -1,
-			DisasmWorkers: 1, PolicyWorkers: 1})
-	})
-	b.Run("cold-par8", func(b *testing.B) {
-		run(b, bench.GatewayLoadConfig{Images: coldImages, CacheEntries: -1,
-			DisasmWorkers: 8, PolicyWorkers: 8})
-	})
-	b.Run("cache-hit", func(b *testing.B) {
-		run(b, bench.GatewayLoadConfig{Images: coldImages[:1]})
-	})
-	// Byte-distinct images never hit the verdict cache, but they share the
-	// approved musl build, so the function-result cache absorbs most of
-	// each session's policy work after the first.
-	b.Run("fn-warm", func(b *testing.B) {
-		run(b, bench.GatewayLoadConfig{Images: coldImages, CacheEntries: -1,
-			FnCacheEntries: 1 << 16})
-	})
-}
-
 // BenchmarkPooledProvision measures enclave acquisition — the cost pooling
 // removes from the session path:
 //
@@ -492,32 +438,4 @@ func BenchmarkPooledProvision(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWarmProvision measures warm-path provisioning: the same image
-// is provisioned fully cold and against a function-result cache warmed by
-// a different image sharing the approved musl build. The cycle metrics are
-// the paper-model policy-phase cost; allocs/op contrasts the two paths'
-// real allocation behaviour.
-func BenchmarkWarmProvision(b *testing.B) {
-	w, err := bench.NewWarmBench(bench.WarmPathConfig{DisasmWorkers: 1, PolicyWorkers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	for _, mode := range []string{"cold", "warm"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			var pt bench.WarmPathPoint
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = w.Provision(mode == "warm")
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(pt.PolicyCycles), "policy-cycles")
-			b.ReportMetric(float64(pt.CachedFunctions), "fn-reused")
-		})
-	}
 }

@@ -10,21 +10,17 @@
 // 10K cycles; other work is metered in calibrated units (see DESIGN.md and
 // EXPERIMENTS.md). The right-hand column reports measured/paper ratios.
 //
-// -json switches to a machine-readable report covering the warm-path
-// provisioning experiment (cold vs function-result-cache-warmed) and
-// gateway throughput; BENCH_3.json in the repo root is one such run.
+// End-to-end serving performance is measured by perfbench (see
+// BENCHMARK.json), which drives the real daemons.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"engarde/internal/bench"
 	"engarde/internal/cycles"
-	"engarde/internal/gateway"
 	"engarde/internal/workload"
 )
 
@@ -32,286 +28,12 @@ func main() {
 	table := flag.String("table", "all", "table to regenerate: fig2, fig3, fig4, fig5, scaling or all")
 	benchName := flag.String("bench", "", "restrict to one benchmark (e.g. Nginx)")
 	repoRoot := flag.String("repo", ".", "repository root (for the fig2 LOC count)")
-	jsonOut := flag.Bool("json", false, "emit the warm-path and gateway-throughput report as JSON instead of tables")
 	flag.Parse()
 
-	if *jsonOut {
-		if err := runJSON(); err != nil {
-			fmt.Fprintln(os.Stderr, "engarde-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*table, *benchName, *repoRoot); err != nil {
 		fmt.Fprintln(os.Stderr, "engarde-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// gatewayPoint is one gateway load run in the JSON report. Wall-clock
-// throughput on shared CI hardware is noisy, so the report leads with the
-// deterministic fields (sessions, verdicts, cache behaviour) and carries
-// sessions/s only as an indicative figure.
-type gatewayPoint struct {
-	Sessions       int     `json:"sessions"`
-	SessionsPerSec float64 `json:"sessions_per_sec"`
-	CacheHits      uint64  `json:"verdict_cache_hits"`
-	FnCacheHits    uint64  `json:"fn_cache_hits,omitempty"`
-	FnCacheMisses  uint64  `json:"fn_cache_misses,omitempty"`
-	// Pool carries the enclave warm-pool counters for pooled points: warm
-	// vs cold checkouts plus the amortized snapshot/clone cycle economics
-	// that pooling keeps off individual session spans.
-	Pool *gateway.PoolStats `json:"pool,omitempty"`
-	// Latency is the client-observed per-session distribution (wall-clock,
-	// noisy on shared hardware; quantiles are log₂-bucket upper bounds).
-	Latency bench.LatencyQuantiles `json:"latency"`
-	// FirstByteToVerdict is the server-side first-byte-to-verdict span
-	// distribution — the streaming pipeline's headline metric (BENCH_8).
-	FirstByteToVerdict *bench.LatencyQuantiles `json:"first_byte_to_verdict,omitempty"`
-	// SpanMillis/SpanCycles total the run's trace spans: wall-clock per
-	// span name and cycle-model charges per pipeline phase. The cycle
-	// totals are deterministic for a fixed image set and worker count.
-	SpanMillis map[string]float64 `json:"span_total_ms,omitempty"`
-	SpanCycles map[string]uint64  `json:"span_cycles,omitempty"`
-}
-
-// fleetPoint is one router-fronted fleet load run in the JSON report:
-// N gatewayd backends behind an engarde-router, sessions announced so
-// routing is digest-affine. "cold" points disable the verdict cache, so
-// every session runs the full pipeline; "warm" points leave it on, so
-// affine repeats hit the ring owner's cache.
-type fleetPoint struct {
-	Backends       int     `json:"backends"`
-	Sessions       int     `json:"sessions"`
-	SessionsPerSec float64 `json:"sessions_per_sec"`
-	Announced      uint64  `json:"announced"`
-	Affine         uint64  `json:"affine"`
-	Rebalances     uint64  `json:"rebalances,omitempty"`
-	// PerBackend breaks the run down by backend: sessions spliced, verdict
-	// and fn-cache behaviour, peer traffic.
-	PerBackend map[string]bench.FleetBackendLoad `json:"per_backend"`
-}
-
-// failoverPoint is the fleet-failover load run (BENCH_9): a 3-backend
-// fleet with backend 0 crashed a third of the way through the run and
-// restarted at two thirds. Completed/dropped partition the sessions;
-// failover_latency is the distribution over sessions that lost their
-// backend mid-flight and replayed elsewhere — against latency (all
-// sessions), it prices what a crash costs a client that survives it.
-type failoverPoint struct {
-	Backends        int                     `json:"backends"`
-	Sessions        int                     `json:"sessions"`
-	Completed       uint64                  `json:"completed"`
-	Dropped         uint64                  `json:"dropped"`
-	SessionsPerSec  float64                 `json:"sessions_per_sec"`
-	ClientFailovers uint64                  `json:"client_failovers"`
-	RouterFailovers uint64                  `json:"router_failovers"`
-	SplicesEvicted  uint64                  `json:"splices_evicted,omitempty"`
-	Latency         bench.LatencyQuantiles  `json:"latency"`
-	FailoverLatency *bench.LatencyQuantiles `json:"failover_latency,omitempty"`
-	// Trace IDs for drill-down: the slowest completed session and every
-	// session that survived a failover. Grep a hop's traces.jsonl for one
-	// of these to see that session's spans at that hop.
-	SlowestTraceID     string   `json:"slowest_trace_id,omitempty"`
-	FailedOverTraceIDs []string `json:"failed_over_trace_ids,omitempty"`
-}
-
-// jsonReport is the -json output schema.
-type jsonReport struct {
-	WarmPath *bench.WarmPathResult   `json:"warm_path"`
-	Gateway  map[string]gatewayPoint `json:"gateway"`
-	// Fleet maps "<backends>-cold" / "<backends>-warm" to fleet load runs
-	// (BENCH_6.json's scaling curve).
-	Fleet map[string]fleetPoint `json:"fleet,omitempty"`
-	// Failover is the mid-run-crash load point (BENCH_9.json).
-	Failover *failoverPoint `json:"failover,omitempty"`
-}
-
-func runJSON() error {
-	// Workers pinned to 1 so the cycle figures are reproducible span cuts
-	// (see EXPERIMENTS.md: straddle handling is worker-count-dependent).
-	warm, err := bench.RunWarmPath(bench.WarmPathConfig{DisasmWorkers: 1, PolicyWorkers: 1})
-	if err != nil {
-		return err
-	}
-
-	images, err := bench.DistinctImages(4)
-	if err != nil {
-		return err
-	}
-	const sessions = 8
-	load := func(cfg bench.GatewayLoadConfig) (gatewayPoint, error) {
-		if cfg.Sessions == 0 {
-			cfg.Sessions = sessions
-		}
-		if cfg.Clients == 0 {
-			cfg.Clients = 2
-		}
-		res, err := bench.RunGatewayLoad(cfg)
-		if err != nil {
-			return gatewayPoint{}, err
-		}
-		pt := gatewayPoint{
-			Sessions:           cfg.Sessions,
-			SessionsPerSec:     res.SessionsPerSec,
-			CacheHits:          res.Stats.CacheHits,
-			Latency:            res.Latency,
-			FirstByteToVerdict: res.FirstByteToVerdict,
-			SpanMillis:         res.SpanMillis,
-			SpanCycles:         res.SpanCycles,
-		}
-		if res.Stats.FnCache != nil {
-			pt.FnCacheHits = res.Stats.FnCache.Hits
-			pt.FnCacheMisses = res.Stats.FnCache.Misses
-		}
-		pt.Pool = res.Stats.Pool
-		return pt, nil
-	}
-
-	rep := jsonReport{WarmPath: warm, Gateway: map[string]gatewayPoint{}, Fleet: map[string]fleetPoint{}}
-	for name, cfg := range map[string]bench.GatewayLoadConfig{
-		// Every point runs the shipped (streaming) receive path.
-		"cold":      {Images: images, CacheEntries: -1},
-		"cache-hit": {Images: images[:1]},
-		"fn-warm":   {Images: images, CacheEntries: -1, FnCacheEntries: gateway.DefaultCacheEntries * 16},
-		// "pooled" is "cold" with the enclave warm pool on: every session
-		// still runs the full pipeline, but checks a snapshot-cloned enclave
-		// out of the pool instead of paying the measured build — the
-		// pool-checkout span replaces create-enclave (BENCH_7). The pool is
-		// sized to cover the whole burst (arrival rate × recycle time), so
-		// the steady state has zero cold fallbacks.
-		"pooled": {Images: images, CacheEntries: -1, EnclavePool: 8},
-	} {
-		pt, err := load(cfg)
-		if err != nil {
-			return fmt.Errorf("gateway load %q: %w", name, err)
-		}
-		rep.Gateway[name] = pt
-	}
-
-	// The BENCH_8 pair: first-byte-to-verdict with the receive overlapped
-	// with the pipeline ("streaming"), alone and combined with the warm
-	// enclave pool ("streaming+pooled"). The transfer arrives
-	// over an emulated ~28 Mbit/s uplink in 32 KiB frames — on an unpaced
-	// in-memory pipe the whole image lands in microseconds and there is no
-	// transfer window for the pipeline to overlap. Images are ≥64 KiB
-	// (many frames per transfer), one session at a time so the
-	// first-byte-to-verdict distribution is a latency measurement rather
-	// than a contention one, and disassembly is sharded 8 ways so chunk
-	// decodes launch frame by frame.
-	bigImages, err := bench.DistinctImagesSized(4, 1920, 100)
-	if err != nil {
-		return err
-	}
-	streamCfg := func(c bench.GatewayLoadConfig) bench.GatewayLoadConfig {
-		c.Images = bigImages
-		c.CacheEntries = -1
-		c.Sessions = 12
-		c.Clients = 1
-		c.HeapPages = 4800 // ~192k-instruction images need a larger staging heap
-		c.DisasmWorkers = 8
-		c.BlockSize = 32 * 1024
-		c.LinkBytesPerSec = 3_500_000
-		return c
-	}
-	// Overlap needs a second scheduler thread: with GOMAXPROCS=1 the
-	// decoder and the receive loop serialize at preemption granularity and
-	// the overlap measures the scheduler, not the pipeline. Restored
-	// afterwards so the BENCH_7-era points above and the fleet curve below
-	// keep their historical execution shape.
-	prevProcs := runtime.GOMAXPROCS(0)
-	if prevProcs < 2 {
-		runtime.GOMAXPROCS(2)
-	}
-	for name, cfg := range map[string]bench.GatewayLoadConfig{
-		"streaming":        streamCfg(bench.GatewayLoadConfig{}),
-		"streaming+pooled": streamCfg(bench.GatewayLoadConfig{EnclavePool: 2}),
-	} {
-		pt, err := load(cfg)
-		if err != nil {
-			runtime.GOMAXPROCS(prevProcs)
-			return fmt.Errorf("gateway load %q: %w", name, err)
-		}
-		rep.Gateway[name] = pt
-	}
-	runtime.GOMAXPROCS(prevProcs)
-
-	// Fleet scaling curve: 1/2/4 router-fronted backends, cold (verdict
-	// caches off, every session runs the pipeline) vs digest-affine warm
-	// (caches on, announced repeats hit the ring owner's cache, backends
-	// share fn-memo state over the peer mesh). The workload checks the
-	// full four-module policy set over large images, so the cacheable
-	// pipeline work dominates the fixed per-session handshake and the
-	// warm/cold contrast measures the caches, not connection setup.
-	fleetImages, fleetPolicies, fleetHeap, err := bench.FleetBenchWorkload()
-	if err != nil {
-		return err
-	}
-	for _, n := range []int{1, 2, 4} {
-		for _, mode := range []string{"cold", "warm"} {
-			cfg := bench.FleetLoadConfig{
-				Backends:  n,
-				Images:    fleetImages,
-				Sessions:  sessions,
-				Clients:   2,
-				Announce:  true,
-				Tenant:    "bench",
-				Policies:  fleetPolicies,
-				HeapPages: fleetHeap,
-			}
-			if mode == "cold" {
-				cfg.CacheEntries = -1
-			} else {
-				cfg.SharedFnCache = true
-			}
-			res, err := bench.RunFleetLoad(cfg)
-			if err != nil {
-				return fmt.Errorf("fleet load %d-%s: %w", n, mode, err)
-			}
-			rep.Fleet[fmt.Sprintf("%d-%s", n, mode)] = fleetPoint{
-				Backends:       n,
-				Sessions:       sessions,
-				SessionsPerSec: res.SessionsPerSec,
-				Announced:      res.Announced,
-				Affine:         res.Affine,
-				Rebalances:     res.Rebalances,
-				PerBackend:     res.PerBackend,
-			}
-		}
-	}
-
-	// The failover load point: the fleet's failure-domain machinery under
-	// a scripted mid-run crash. Same small images as the gateway points —
-	// the figure of interest is the failover accounting and the latency
-	// delta, not pipeline throughput.
-	const failoverSessions = 18
-	fo, err := bench.RunFleetFailover(bench.FleetFailoverConfig{
-		Backends: 3,
-		Images:   images,
-		Sessions: failoverSessions,
-		Clients:  2,
-	})
-	if err != nil {
-		return fmt.Errorf("fleet failover: %w", err)
-	}
-	rep.Failover = &failoverPoint{
-		Backends:           3,
-		Sessions:           failoverSessions,
-		Completed:          fo.Completed,
-		Dropped:            fo.Dropped,
-		SessionsPerSec:     fo.SessionsPerSec,
-		ClientFailovers:    fo.ClientFailovers,
-		RouterFailovers:    fo.RouterFailovers,
-		SplicesEvicted:     fo.SplicesEvicted,
-		Latency:            fo.Latency,
-		FailoverLatency:    fo.FailoverLatency,
-		SlowestTraceID:     fo.SlowestTraceID,
-		FailedOverTraceIDs: fo.FailedOverTraceIDs,
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 func run(table, benchName, repoRoot string) error {

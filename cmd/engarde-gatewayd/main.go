@@ -255,13 +255,7 @@ func run(cfg config) error {
 		if err != nil {
 			return fmt.Errorf("stats listener: %w", err)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/statsz", gw.StatsHandler())
-		mux.Handle("/metricsz", gw.MetricsHandler())
-		mux.Handle("/tracez", sink.Handler())
-		mux.Handle("/healthz", gw.HealthzHandler())
-		mux.Handle("/readyz", gw.ReadyzHandler())
-		mux.Handle("/memoz/", gw.FnMemoHandler())
+		mux := gw.AdminHandler()
 		if cfg.pprofOn {
 			obs.MountPprof(mux)
 			logger.Info("pprof exposed", "url", fmt.Sprintf("http://%s/debug/pprof/", statsLn.Addr()))

@@ -226,12 +226,7 @@ func run(backends []cluster.Backend, cfg routerFlags) error {
 			},
 		})
 		agg.Start()
-		mux := http.NewServeMux()
-		mux.Handle("/statsz", router.StatsHandler())
-		mux.Handle("/metricsz", router.MetricsHandler())
-		mux.Handle("/healthz", router.HealthzHandler())
-		mux.Handle("/readyz", router.ReadyzHandler())
-		mux.Handle("/tracez", router.TracezHandler())
+		mux := router.AdminHandler()
 		mux.Handle("/fleetz", agg.Handler())
 		if cfg.pprofOn {
 			obs.MountPprof(mux)

@@ -1,23 +1,21 @@
 package bench
 
-// ChaosFleet: the failure-domain counterpart of RunFleetLoad. It stands up
-// the same router-fronted topology — N gatewayd-shaped backends on real
-// loopback TCP, each with its own provider and admin endpoints — but puts
-// every backend's listening surface under a faults.ChaosListener so tests
-// can crash a backend mid-session (listener gone, connections reset, admin
-// endpoint dark) and later restart it on the same addresses with its
-// platform key and EPC ledger intact. It is the engine behind the fleet
-// chaos soak and the deterministic mid-stream failover regression test.
+// ChaosFleet: the repository's one multi-process fleet fixture. It stands
+// up the topology engarde-router and engarde-gatewayd form in production —
+// N backends on real loopback TCP, each with its own provider and the
+// gateway's AdminHandler, behind one router serving its AdminHandler plus
+// /fleetz and pprof — and puts every backend's listening surface under a
+// faults.ChaosListener, so tests can crash a backend mid-session (listener
+// gone, connections reset, admin endpoint dark) and later restart it on
+// the same addresses with its platform key and EPC ledger intact. It is
+// the engine behind the fleet routing, memo-sharing, tracing and chaos
+// tests; load measurement belongs to perfbench.
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"engarde"
@@ -40,6 +38,10 @@ type ChaosFleetConfig struct {
 	EnclavePool   int
 	CacheEntries  int
 	MaxConcurrent int
+	// SharedFnCache turns on every backend's function-result cache and
+	// points its remote tier at all the other backends' /memoz/, so
+	// warm-path state crosses nodes. Off, the cache is disabled.
+	SharedFnCache bool
 	// HeapPages/ClientPages size each session's enclave; 0 means 1500/512.
 	HeapPages   int
 	ClientPages int
@@ -80,8 +82,8 @@ type ChaosFleet struct {
 	// fleet's expected measurement; safe for concurrent use.
 	Client *engarde.Client
 	// RouterAdminURL serves the router's admin surface (/statsz, /metricsz,
-	// /tracez, /fleetz, /debug/pprof/) — the scrape target of the fleet
-	// observability hammer test.
+	// /healthz, /readyz, /tracez, /fleetz, /debug/pprof/) — the scrape
+	// target of the fleet observability hammer test.
 	RouterAdminURL string
 
 	cfg        ChaosFleetConfig
@@ -109,6 +111,20 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 	}
 
 	f := &ChaosFleet{cfg: cfg, Client: &engarde.Client{}, routerErr: make(chan error, 1)}
+	// Admin listeners come up first: their addresses are the peers each
+	// backend's fn-cache remote tier is configured with.
+	adminLns := make([]net.Listener, cfg.Backends)
+	for i := range adminLns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		adminLns[i] = ln
+	}
+	fnEntries := -1
+	if cfg.SharedFnCache {
+		fnEntries = 0 // the gateway default capacity
+	}
 	routerBackends := make([]cluster.Backend, cfg.Backends)
 	for i := 0; i < cfg.Backends; i++ {
 		provider, err := engarde.NewProvider(engarde.ProviderConfig{EPCPages: 32000})
@@ -119,6 +135,14 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			f.Client.PlatformKey = provider.AttestationPublicKey()
 		} else {
 			f.Client.PlatformKeys = append(f.Client.PlatformKeys, provider.AttestationPublicKey())
+		}
+		var peers []string
+		if cfg.SharedFnCache {
+			for j, ln := range adminLns {
+				if j != i {
+					peers = append(peers, "http://"+ln.Addr().String()+"/memoz")
+				}
+			}
 		}
 		// An in-memory trace sink per backend makes every backend a full
 		// /tracez scrape target, so cross-process trace assertions and the
@@ -135,7 +159,8 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			MaxConcurrent:  cfg.MaxConcurrent,
 			CacheEntries:   cfg.CacheEntries,
 			EnclavePool:    cfg.EnclavePool,
-			FnCacheEntries: -1,
+			FnCacheEntries: fnEntries,
+			FnCachePeers:   peers,
 			TraceSink:      sink,
 			// Tight deadlines: a chaos run wants sessions orphaned by a
 			// crash reaped in seconds, not the daemon's patient minutes.
@@ -146,26 +171,16 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			return nil, err
 		}
 		b := &chaosBackend{
-			name:     fmt.Sprintf("b%d", i),
-			provider: provider,
-			gw:       gw,
-			sink:     sink,
-			serveErr: make(chan error, 1),
+			name:      fmt.Sprintf("b%d", i),
+			adminAddr: adminLns[i].Addr().String(),
+			provider:  provider,
+			gw:        gw,
+			sink:      sink,
+			mux:       gw.AdminHandler(),
+			serveErr:  make(chan error, 1),
 		}
-		b.mux = http.NewServeMux()
-		b.mux.Handle("/statsz", gw.StatsHandler())
-		b.mux.Handle("/metricsz", gw.MetricsHandler())
-		b.mux.Handle("/tracez", sink.Handler())
-		b.mux.Handle("/healthz", gw.HealthzHandler())
-		b.mux.Handle("/readyz", gw.ReadyzHandler())
-
-		adminLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		b.adminAddr = adminLn.Addr().String()
 		b.adminSrv = &http.Server{Handler: b.mux}
-		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(b.adminSrv, adminLn)
+		go func(srv *http.Server, ln net.Listener) { _ = srv.Serve(ln) }(b.adminSrv, adminLns[i])
 
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -204,8 +219,8 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 	f.RouterAddr = routerLn.Addr().String()
 	go func() { f.routerErr <- router.Serve(context.Background(), routerLn) }()
 
-	// The router's admin surface mirrors engarde-router -stats-addr -pprof:
-	// stats, metrics, route traces, the fleet aggregation view, and pprof.
+	// The router's admin surface is engarde-router -stats-addr -pprof: its
+	// AdminHandler plus the fleet aggregation view and pprof.
 	targets := make([]fleet.Backend, cfg.Backends)
 	for i, rb := range routerBackends {
 		targets[i] = fleet.Backend{
@@ -220,10 +235,7 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 		Self:     router.Registry(),
 		SelfSink: routerSink,
 	})
-	adminMux := http.NewServeMux()
-	adminMux.Handle("/statsz", router.StatsHandler())
-	adminMux.Handle("/metricsz", router.MetricsHandler())
-	adminMux.Handle("/tracez", router.TracezHandler())
+	adminMux := router.AdminHandler()
 	adminMux.Handle("/fleetz", f.routerAgg.Handler())
 	obs.MountPprof(adminMux)
 	adminLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -264,7 +276,7 @@ func (f *ChaosFleet) Sink(i int) *obs.Sink { return f.backends[i].sink }
 // RouterSink returns the router's route-trace sink.
 func (f *ChaosFleet) RouterSink() *obs.Sink { return f.routerSink }
 
-// AdminURL returns backend i's admin base URL (statsz/metricsz/tracez).
+// AdminURL returns backend i's admin base URL (the gateway AdminHandler).
 func (f *ChaosFleet) AdminURL(i int) string { return "http://" + f.backends[i].adminAddr }
 
 // Kill crashes backend i: session listener and every in-flight connection
@@ -334,234 +346,4 @@ func (f *ChaosFleet) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// FleetFailoverConfig configures RunFleetFailover.
-type FleetFailoverConfig struct {
-	// Backends is the fleet size; 0 means 3.
-	Backends int
-	// Images are provisioned round-robin; all must be compliant under
-	// Policies. Required.
-	Images [][]byte
-	// Sessions is the total session count. Required.
-	Sessions int
-	// Clients is the number of concurrent client goroutines; 0 means 2.
-	Clients int
-	// Policies is the policy set; nil means stack-protector.
-	Policies *engarde.PolicySet
-}
-
-// FleetFailoverResult reports one failover load run: throughput and
-// latency with a backend crash in the middle of the run, and how much of
-// the fleet's machinery (client-side session failover, router-side
-// successor retry) it took to keep sessions completing.
-type FleetFailoverResult struct {
-	Elapsed        time.Duration
-	SessionsPerSec float64
-	// Completed/Dropped partition the sessions: dropped sessions exhausted
-	// the client's failover budget (an availability cost; any verdict
-	// anomaly fails the run instead).
-	Completed uint64
-	Dropped   uint64
-	// ClientFailovers counts OnFailover firings — sessions replayed against
-	// another endpoint after losing their backend mid-flight.
-	ClientFailovers uint64
-	// RouterFailovers/SplicesEvicted are the router's own view: dials
-	// diverted off a dead owner, and in-flight splices reset with a typed
-	// backend-lost verdict.
-	RouterFailovers uint64
-	SplicesEvicted  uint64
-	// Latency is the distribution over all completed sessions;
-	// FailoverLatency the subset that failed over at least once — their
-	// difference is what a mid-session crash costs a client that survives
-	// it.
-	Latency         LatencyQuantiles
-	FailoverLatency *LatencyQuantiles
-	// SlowestTraceID identifies the slowest completed session's distributed
-	// trace, and FailedOverTraceIDs the sessions that survived a failover —
-	// the drill-down handles: grep them in any hop's traces.jsonl or load
-	// the Chrome export to see where the time went.
-	SlowestTraceID     string
-	FailedOverTraceIDs []string
-}
-
-// RunFleetFailover drives cfg.Sessions announced sessions through a
-// router-fronted fleet, crashes backend 0 a third of the way in, restarts
-// it at two thirds, and reports throughput plus the failover accounting.
-// Verdict caches are off so every session pays the full pipeline and the
-// latency contrast isolates the failover cost.
-func RunFleetFailover(cfg FleetFailoverConfig) (*FleetFailoverResult, error) {
-	if len(cfg.Images) == 0 {
-		return nil, fmt.Errorf("bench: FleetFailoverConfig.Images is required")
-	}
-	if cfg.Sessions <= 0 {
-		return nil, fmt.Errorf("bench: FleetFailoverConfig.Sessions must be positive")
-	}
-	if cfg.Backends == 0 {
-		cfg.Backends = 3
-	}
-	if cfg.Clients == 0 {
-		cfg.Clients = 2
-	}
-	fleet, err := StartChaosFleet(ChaosFleetConfig{
-		Backends:       cfg.Backends,
-		Policies:       cfg.Policies,
-		CacheEntries:   -1,
-		HealthInterval: -1, // dial results police health; no prober jitter
-	})
-	if err != nil {
-		return nil, err
-	}
-	fleet.Client.Route = &engarde.RouteHello{Tenant: "failover-bench"}
-
-	// The victim is the ring owner of the first image's digest: sessions
-	// for that digest are spliced to it, so a kill timed to one of its
-	// active splices is a mid-stream crash the client must survive — not
-	// one the router can absorb invisibly at dial time.
-	sum := sha256.Sum256(cfg.Images[0])
-	ring := cluster.NewRing(cluster.DefaultVnodes)
-	for i := 0; i < cfg.Backends; i++ {
-		ring.Add(fleet.BackendName(i))
-	}
-	victimName, _ := ring.Owner(hex.EncodeToString(sum[:]))
-	victim := 0
-	for i := 0; i < cfg.Backends; i++ {
-		if fleet.BackendName(i) == victimName {
-			victim = i
-		}
-	}
-
-	var (
-		finished        atomic.Uint64 // completed + dropped, drives the kill script
-		completed       atomic.Uint64
-		dropped         atomic.Uint64
-		clientFailovers atomic.Uint64
-		mu              sync.Mutex
-		all, moved      []time.Duration
-		slowest         time.Duration
-		slowestTraceID  string
-		movedTraceIDs   []string
-	)
-
-	// The kill script: the victim crashes after a third of the sessions —
-	// timed to an instant it has a splice in flight — and comes back after
-	// two thirds, so the run has healthy, degraded, and recovered phases.
-	killAt, restartAt := uint64(cfg.Sessions/3), uint64(2*cfg.Sessions/3)
-	ctlDone := make(chan struct{})
-	go func() {
-		defer close(ctlDone)
-		for finished.Load() < killAt {
-			time.Sleep(time.Millisecond)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if fleet.Router.Stats().Backends[victimName].Active > 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		fleet.Kill(victim)
-		for finished.Load() < restartAt {
-			time.Sleep(time.Millisecond)
-		}
-		for fleet.Restart(victim) != nil {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-
-	next := make(chan int)
-	errs := make(chan error, cfg.Clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			dials := make([]func() (net.Conn, error), cfg.Backends)
-			for i := range dials {
-				dials[i] = fleet.Dial
-			}
-			for i := range next {
-				image := cfg.Images[i%len(cfg.Images)]
-				var moves int
-				// Every session originates its own distributed trace; the
-				// IDs of interesting sessions (slowest, failed-over) come
-				// out in the result for drill-down.
-				tr := obs.NewTrace("provision", nil)
-				s0 := time.Now()
-				v, err := fleet.Client.ProvisionFailover(dials, image, engarde.RetryPolicy{
-					Attempts:  8,
-					BaseDelay: time.Millisecond,
-					MaxDelay:  50 * time.Millisecond,
-					Seed:      int64(c + 1),
-					Trace:     tr,
-					OnFailover: func(int, int, error) {
-						moves++
-						clientFailovers.Add(1)
-					},
-				})
-				d := time.Since(s0)
-				tr.Finish()
-				finished.Add(1)
-				if err != nil {
-					dropped.Add(1)
-					continue
-				}
-				if !v.Compliant {
-					errs <- fmt.Errorf("bench: session %d rejected under failover: %s", i, v.Reason)
-					break
-				}
-				completed.Add(1)
-				mu.Lock()
-				all = append(all, d)
-				if d > slowest {
-					slowest, slowestTraceID = d, tr.ID()
-				}
-				if moves > 0 {
-					moved = append(moved, d)
-					movedTraceIDs = append(movedTraceIDs, tr.ID())
-				}
-				mu.Unlock()
-			}
-			for range next {
-				finished.Add(1)
-			}
-		}(c)
-	}
-	for i := 0; i < cfg.Sessions; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	elapsed := time.Since(start)
-	<-ctlDone
-
-	rs := fleet.Router.Stats()
-	if err := fleet.Close(); err != nil {
-		return nil, fmt.Errorf("bench: fleet shutdown: %w", err)
-	}
-	select {
-	case err := <-errs:
-		return nil, err
-	default:
-	}
-
-	res := &FleetFailoverResult{
-		Elapsed:         elapsed,
-		SessionsPerSec:  float64(completed.Load()) / elapsed.Seconds(),
-		Completed:       completed.Load(),
-		Dropped:         dropped.Load(),
-		ClientFailovers: clientFailovers.Load(),
-		RouterFailovers: rs.Failovers,
-		SplicesEvicted:  rs.SplicesEvicted,
-	}
-	if len(all) > 0 {
-		res.Latency = *exactQuantiles(all)
-		res.SlowestTraceID = slowestTraceID
-	}
-	if len(moved) > 0 {
-		res.FailoverLatency = exactQuantiles(moved)
-		res.FailedOverTraceIDs = movedTraceIDs
-	}
-	return res, nil
 }

@@ -9,8 +9,6 @@ package bench
 // nothing: EPC ledgers balance and goroutines settle once it ends.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"net"
 	"os"
 	"runtime"
@@ -21,7 +19,6 @@ import (
 	"time"
 
 	"engarde"
-	"engarde/internal/cluster"
 	"engarde/internal/toolchain"
 )
 
@@ -110,21 +107,7 @@ func TestFleetFailoverMidStream(t *testing.T) {
 	defer fleet.Close()
 	fleet.Client.Route = &engarde.RouteHello{Tenant: "midstream"}
 
-	// Predict the digest's ring owner with the router's own ring geometry.
-	sum := sha256.Sum256(image)
-	ring := cluster.NewRing(cluster.DefaultVnodes)
-	for i := 0; i < 2; i++ {
-		ring.Add(fleet.BackendName(i))
-	}
-	ownerName, ok := ring.Owner(hex.EncodeToString(sum[:]))
-	if !ok {
-		t.Fatal("ring has no owner")
-	}
-	owner := 0
-	if ownerName == fleet.BackendName(1) {
-		owner = 1
-	}
-	survivor := 1 - owner
+	owner, survivor := ringOwner(t, fleet, image)
 
 	// Fault-free control verdict (routed to the owner, like every
 	// announced session for this digest).
@@ -325,34 +308,103 @@ func TestFleetChaosSoak(t *testing.T) {
 	waitFleetGoroutines(t, baseline)
 }
 
-// TestFleetFailoverLoadPoint exercises the BENCH_9 failover load point at
-// a small scale: every session is accounted for, the run survives the
-// scripted mid-run crash, and the failover counters are self-consistent.
+// TestFleetFailoverLoadPoint runs a small failover load point: 9
+// announced sessions from 2 clients through a 3-backend fleet, whose ring
+// owner for the first image crashes a third of the way in (timed to one
+// of its splices being in flight) and restarts at two thirds. Every
+// session is accounted for, sessions complete across the crash window,
+// every completed verdict is compliant, and the failover accounting is
+// self-consistent.
 func TestFleetFailoverLoadPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet topology is not short")
 	}
-	images, err := DistinctImages(2)
-	if err != nil {
-		t.Fatal(err)
+	images := [][]byte{
+		chaosImage(t, "failover-a", 9401, 60, true),
+		chaosImage(t, "failover-b", 9402, 60, true),
 	}
-	res, err := RunFleetFailover(FleetFailoverConfig{
-		Backends: 3,
-		Images:   images,
-		Sessions: 9,
-		Clients:  2,
+	const sessions, clients = 9, 2
+	fl, err := StartChaosFleet(ChaosFleetConfig{
+		Backends:       3,
+		CacheEntries:   -1, // every session pays the full pipeline
+		HealthInterval: -1, // dial results police health; no prober jitter
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("failover point: %+v", res)
-	if res.Completed+res.Dropped != 9 {
-		t.Errorf("completed %d + dropped %d != 9 sessions", res.Completed, res.Dropped)
+	fl.Client.Route = &engarde.RouteHello{Tenant: "failover-load"}
+	victim, _ := ringOwner(t, fl, images[0])
+
+	var finished, completed, dropped, clientFailovers, movedSessions atomic.Uint64
+	ctlDone := make(chan struct{})
+	go func() {
+		defer close(ctlDone)
+		for finished.Load() < sessions/3 {
+			time.Sleep(time.Millisecond)
+		}
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			if fl.Router.Stats().Backends[fl.BackendName(victim)].Active > 0 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		fl.Kill(victim)
+		for finished.Load() < 2*sessions/3 {
+			time.Sleep(time.Millisecond)
+		}
+		for fl.Restart(victim) != nil {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			dials := []func() (net.Conn, error){fl.Dial, fl.Dial, fl.Dial}
+			for i := c; i < sessions; i += clients {
+				var moves int
+				v, err := fl.Client.ProvisionFailover(dials, images[i%len(images)], engarde.RetryPolicy{
+					Attempts:  8,
+					BaseDelay: time.Millisecond,
+					MaxDelay:  50 * time.Millisecond,
+					Seed:      int64(c + 1),
+					OnFailover: func(int, int, error) {
+						moves++
+						clientFailovers.Add(1)
+					},
+				})
+				finished.Add(1)
+				if err != nil {
+					dropped.Add(1)
+					continue
+				}
+				if !v.Compliant {
+					t.Errorf("session %d rejected under failover: %s", i, v.Reason)
+				}
+				completed.Add(1)
+				if moves > 0 {
+					movedSessions.Add(1)
+				}
+			}
+		}(c)
 	}
-	if res.Completed == 0 {
+	wg.Wait()
+	<-ctlDone
+	if err := fl.Close(); err != nil {
+		t.Errorf("fleet shutdown: %v", err)
+	}
+
+	t.Logf("failover point: %d completed, %d dropped, %d client failovers over %d moved sessions",
+		completed.Load(), dropped.Load(), clientFailovers.Load(), movedSessions.Load())
+	if completed.Load()+dropped.Load() != sessions {
+		t.Errorf("completed %d + dropped %d != %d sessions", completed.Load(), dropped.Load(), sessions)
+	}
+	if completed.Load() == 0 {
 		t.Error("no sessions completed across the crash window")
 	}
-	if res.FailoverLatency != nil && res.ClientFailovers == 0 {
-		t.Error("failover latencies recorded without any client failover")
+	if movedSessions.Load() > 0 && clientFailovers.Load() == 0 {
+		t.Error("sessions completed after a move without any client failover counted")
 	}
 }

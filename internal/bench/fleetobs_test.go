@@ -212,23 +212,24 @@ func TestFleetFailoverOneTrace(t *testing.T) {
 }
 
 // ringOwner predicts which backend owns image's digest on the router's
-// ring, returning (owner, survivor) indices for a 2-backend fleet.
-func ringOwner(t *testing.T, fl *ChaosFleet, image []byte) (int, int) {
+// ring, returning the owner's index and the index of the next backend.
+func ringOwner(t *testing.T, fl *ChaosFleet, image []byte) (owner, other int) {
 	t.Helper()
 	sum := sha256.Sum256(image)
 	ring := cluster.NewRing(cluster.DefaultVnodes)
-	for i := 0; i < 2; i++ {
+	for i := range fl.backends {
 		ring.Add(fl.BackendName(i))
 	}
 	ownerName, ok := ring.Owner(hex.EncodeToString(sum[:]))
 	if !ok {
 		t.Fatal("ring has no owner")
 	}
-	owner := 0
-	if ownerName == fl.BackendName(1) {
-		owner = 1
+	for i := range fl.backends {
+		if fl.BackendName(i) == ownerName {
+			owner = i
+		}
 	}
-	return owner, 1 - owner
+	return owner, (owner + 1) % len(fl.backends)
 }
 
 // TestFleetObservabilityHammer is the race-enabled satellite: concurrent

@@ -784,18 +784,27 @@ func (r *Router) Stats() RouterStats {
 // Registry exposes the router's metrics registry (tests; embedding).
 func (r *Router) Registry() *obs.Registry { return r.reg }
 
+// AdminHandler returns a fresh mux serving the router's admin surface:
+// /statsz, /metricsz, /healthz, /readyz and /tracez (the route-trace
+// ring as JSONL, or a Chrome trace file with ?format=chrome; 404 without
+// a configured TraceSink). Daemons and test fleets mount this one mux and
+// add what is theirs (/fleetz, pprof).
+func (r *Router) AdminHandler() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/statsz", r.StatsHandler())
+	mux.Handle("/metricsz", r.MetricsHandler())
+	mux.Handle("/healthz", r.HealthzHandler())
+	mux.Handle("/readyz", r.ReadyzHandler())
+	tracez := http.NotFoundHandler()
+	if r.cfg.TraceSink != nil {
+		tracez = r.cfg.TraceSink.Handler()
+	}
+	mux.Handle("/tracez", tracez)
+	return mux
+}
+
 // MetricsHandler serves the Prometheus exposition (mount at /metricsz).
 func (r *Router) MetricsHandler() http.Handler { return r.reg.Handler() }
-
-// TracezHandler serves the route-trace ring (mount at /tracez): recent
-// traces as JSONL, or a Chrome trace file with ?format=chrome. Without a
-// configured TraceSink it answers 404.
-func (r *Router) TracezHandler() http.Handler {
-	if r.cfg.TraceSink == nil {
-		return http.NotFoundHandler()
-	}
-	return r.cfg.TraceSink.Handler()
-}
 
 // StatsHandler serves RouterStats as JSON (mount at /statsz).
 func (r *Router) StatsHandler() http.Handler {

@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"engarde"
 	"engarde/internal/cycles"
+	"engarde/internal/elf64"
 	"engarde/internal/gateway"
 	"engarde/internal/toolchain"
 )
@@ -464,5 +466,45 @@ func TestGatewayRetryAfterShed(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("retrying client never completed")
+	}
+}
+
+// TestGatewayRejectsRelocationIntoText drives a binary whose first RELA
+// entry targets .text through the gateway. Its code passes every policy,
+// but the relocation would rewrite checked bytes at load time, so the
+// verdict must be CodeRejected, and a repeat of the same image must never
+// come back as a compliant cache hit.
+func TestGatewayRejectsRelocationIntoText(t *testing.T) {
+	bin, err := toolchain.Build(toolchain.Config{
+		Name: "reloc-into-text", Seed: 61, NumFuncs: 6, AvgFuncInsts: 40,
+		StackProtector: true, NumDataRelocs: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := elf64.Parse(bin.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rela := f.Section(".rela.dyn")
+	if rela == nil || rela.Size < elf64.RelaSize {
+		t.Fatal("binary has no relocation entries")
+	}
+	image := append([]byte(nil), bin.Image...)
+	binary.LittleEndian.PutUint64(image[rela.Off:], f.Section(".text").Addr)
+
+	gw, ln, client := testGateway(t, gateway.Config{})
+	for attempt := 1; attempt <= 2; attempt++ {
+		v, err := provisionOnce(t, ln, client, image)
+		if err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+		if v.Compliant || v.Code != engarde.CodeRejected {
+			t.Fatalf("attempt %d: verdict %+v, want %s", attempt, v, engarde.CodeRejected)
+		}
+	}
+	waitFor(t, "two sessions served", func() bool { return gw.Stats().Served == 2 })
+	if s := gw.Stats(); s.Compliant != 0 {
+		t.Errorf("stats count %d compliant sessions, want 0", s.Compliant)
 	}
 }

@@ -170,6 +170,27 @@ func (g *Gateway) Stats() Stats {
 	return s
 }
 
+// AdminHandler returns a fresh mux serving the gateway's whole admin
+// surface: /statsz, /metricsz, /healthz, /readyz, /memoz/ (the fn-cache
+// peer protocol) and /tracez (Config.TraceSink's ring; 404 without a
+// sink). Every process that fronts a gateway mounts this one mux, so
+// tests and daemons serve the same paths; callers may add their own
+// routes (pprof) to it.
+func (g *Gateway) AdminHandler() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/statsz", g.StatsHandler())
+	mux.Handle("/metricsz", g.MetricsHandler())
+	mux.Handle("/healthz", g.HealthzHandler())
+	mux.Handle("/readyz", g.ReadyzHandler())
+	mux.Handle("/memoz/", g.FnMemoHandler())
+	tracez := http.NotFoundHandler()
+	if g.cfg.TraceSink != nil {
+		tracez = g.cfg.TraceSink.Handler()
+	}
+	mux.Handle("/tracez", tracez)
+	return mux
+}
+
 // StatsHandler serves the snapshot as JSON — mount it at /statsz.
 func (g *Gateway) StatsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

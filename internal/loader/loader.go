@@ -28,6 +28,10 @@ var (
 	// ErrImageTooLarge is returned when the image does not fit the region
 	// reserved for the client inside the enclave.
 	ErrImageTooLarge = errors.New("loader: image exceeds the client region")
+	// ErrRelocOutOfBounds is returned for a relocation whose 8-byte target
+	// does not lie inside one non-executable PT_LOAD segment: applying it
+	// would write into code the policies already checked.
+	ErrRelocOutOfBounds = errors.New("loader: relocation target outside the data segments")
 )
 
 // Memory is the loader's view of enclave memory (satisfied by
@@ -95,6 +99,7 @@ func Load(f *elf64.File, mem Memory, cfg Config) (*Result, error) {
 	execSet := map[uint64]bool{}
 	dataSet := map[uint64]bool{}
 	var maxEnd uint64
+	var dataSegs [][2]uint64 // [vaddr, end) of each non-exec PT_LOAD
 
 	// Map PT_LOAD segments: copy file content, zero the bss tail.
 	for _, ph := range f.Progs {
@@ -128,6 +133,9 @@ func Load(f *elf64.File, mem Memory, cfg Config) (*Result, error) {
 			}
 			charge(cycles.UnitCopiedByte, uint64(len(zero)))
 		}
+		if ph.Flags&elf64.PFX == 0 {
+			dataSegs = append(dataSegs, [2]uint64{ph.Vaddr, end})
+		}
 		// Record page dispositions; an empty segment covers no page.
 		if ph.Memsz > 0 {
 			first := start &^ uint64(PageSize-1)
@@ -151,6 +159,9 @@ func Load(f *elf64.File, mem Memory, cfg Config) (*Result, error) {
 	for _, r := range relas {
 		if r.RelaType() != elf64.RX8664Relative {
 			return nil, fmt.Errorf("%w: %d at %#x", ErrUnsupportedReloc, r.RelaType(), r.Off)
+		}
+		if !inDataSegment(dataSegs, r.Off) {
+			return nil, fmt.Errorf("%w: %#x", ErrRelocOutOfBounds, r.Off)
 		}
 		var word [8]byte
 		binary.LittleEndian.PutUint64(word[:], cfg.Base+uint64(r.Addend))
@@ -188,6 +199,22 @@ func Load(f *elf64.File, mem Memory, cfg Config) (*Result, error) {
 	res.ExecPages = sortedKeys(execSet)
 	res.DataPages = sortedKeys(dataSet)
 	return res, nil
+}
+
+// inDataSegment reports whether the 8-byte word at off lies inside one
+// non-executable segment. off is client-supplied, so the end is a checked
+// add.
+func inDataSegment(segs [][2]uint64, off uint64) bool {
+	end, carry := bits.Add64(off, 8, 0)
+	if carry != 0 {
+		return false
+	}
+	for _, s := range segs {
+		if off >= s[0] && end <= s[1] {
+			return true
+		}
+	}
+	return false
 }
 
 func sortedKeys(set map[uint64]bool) []uint64 {

@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -223,6 +224,71 @@ func TestLoadRejectsWrappingSegment(t *testing.T) {
 		}()
 		if !errors.Is(err, ErrImageTooLarge) {
 			t.Errorf("Limit %#x: Load = %v, want ErrImageTooLarge", limit, err)
+		}
+	}
+}
+
+// retargetFirstReloc returns a copy of image whose first RELA entry's
+// r_offset is off.
+func retargetFirstReloc(t *testing.T, image []byte, f *elf64.File, off uint64) []byte {
+	t.Helper()
+	rela := f.Section(".rela.dyn")
+	if rela == nil || rela.Size < elf64.RelaSize {
+		t.Fatal("binary has no relocation entries")
+	}
+	img := append([]byte(nil), image...)
+	binary.LittleEndian.PutUint64(img[rela.Off:], off)
+	return img
+}
+
+// TestLoadRejectsRelocationIntoText points a relocation at checked code:
+// the first RELA entry of a toolchain binary is aimed at .text, so
+// applying it would overwrite eight verified bytes with a client-chosen
+// addend after the policies ran. Load must refuse with
+// ErrRelocOutOfBounds and leave .text as decoded. Relocations straddling
+// a segment end or wrapping uint64 are refused the same way.
+func TestLoadRejectsRelocationIntoText(t *testing.T) {
+	bin, err := toolchain.Build(toolchain.Config{
+		Name: "cl", Seed: 61,
+		NumFuncs: 8, AvgFuncInsts: 60,
+		LibcCallRate: 0.05, NumDataRelocs: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := elf64.Parse(bin.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := f.Section(".text")
+	var dataEnd uint64
+	for _, ph := range f.Progs {
+		if ph.Type == elf64.PTLoad && ph.Flags&elf64.PFX == 0 {
+			dataEnd = max(dataEnd, ph.Vaddr+ph.Memsz)
+		}
+	}
+	for name, off := range map[string]uint64{
+		"text":     text.Addr,
+		"straddle": dataEnd - 4,
+		"wrap":     ^uint64(3),
+	} {
+		bad, err := elf64.Parse(retargetFirstReloc(t, bin.Image, f, off))
+		if err != nil {
+			t.Fatalf("%s: patched image no longer parses: %v", name, err)
+		}
+		mem := newMemBuf(0x200000, 4<<20)
+		if _, err := Load(bad, mem, Config{Base: 0x200000}); !errors.Is(err, ErrRelocOutOfBounds) {
+			t.Errorf("%s: Load = %v, want ErrRelocOutOfBounds", name, err)
+		}
+		if name != "text" {
+			continue
+		}
+		got := make([]byte, 8)
+		if err := mem.Read(0x200000+text.Addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, text.Data[:8]) {
+			t.Errorf("loaded .text begins %x, checked bytes %x", got, text.Data[:8])
 		}
 	}
 }

@@ -384,10 +384,15 @@ func firstIndex(n, workers int, bad func(i int) bool) int {
 func (p *Program) CheckReachability(entry uint64, tab *symtab.Table) error {
 	reached := make([]bool, len(p.Insts))
 	var stack []int
-	push := func(addr uint64) {
-		if i, ok := p.InstAt(addr); ok && !reached[i] {
+	mark := func(i int) {
+		if !reached[i] {
 			reached[i] = true
 			stack = append(stack, i)
+		}
+	}
+	push := func(addr uint64) {
+		if i, ok := p.InstAt(addr); ok {
+			mark(i)
 		}
 	}
 	push(entry)
@@ -406,11 +411,18 @@ func (p *Program) CheckReachability(entry uint64, tab *symtab.Table) error {
 		}
 		// Fall-through edge; ret and unconditional jmp do not fall
 		// through. Indirect jumps don't either, but their targets are
-		// function starts already seeded.
+		// function starts already seeded. Decoded instructions tile the
+		// region, so the next one is almost always i+1; the search is
+		// only the fallback.
 		switch in.Op {
 		case x86.OpRet, x86.OpJmp, x86.OpJmpInd, x86.OpUd2, x86.OpHlt:
 		default:
-			push(in.Addr + uint64(in.Len))
+			next := in.Addr + uint64(in.Len)
+			if i+1 < len(p.Insts) && p.Insts[i+1].Addr == next {
+				mark(i + 1)
+			} else {
+				push(next)
+			}
 		}
 	}
 	for i := range p.Insts {

@@ -1,3 +1,11 @@
+// Package fleet aggregates a fleet's telemetry at the router: it scrapes
+// each backend's /metricsz (Prometheus text) and /tracez (trace JSONL) on
+// a cadence, merges the histograms into fleet-level quantiles, derives an
+// SLO/error-budget block, and re-serves the whole thing at /fleetz as
+// JSON and as a backend-labeled Prometheus exposition.
+//
+// Everything is zero-dependency like the rest of obs: expositions are read
+// with obs.ParseText, the same reader obs.Lint checks them with.
 package fleet
 
 import (
@@ -32,6 +40,24 @@ const (
 	famSession = "engarde_gateway_session_seconds"
 	famFBTV    = "engarde_gateway_first_byte_to_verdict_seconds"
 )
+
+// Sample and Family are a parsed exposition's series and metric families.
+type (
+	Sample = obs.Sample
+	Family = obs.Family
+)
+
+// ParseProm reads a Prometheus 0.0.4 text exposition into families, in
+// declaration order (obs.ParseText).
+func ParseProm(r io.Reader) ([]Family, error) { return obs.ParseText(r) }
+
+// escapeLabel encodes a label value for re-emission.
+func escapeLabel(v string) string {
+	v = strings.ReplaceAll(v, `\`, `\\`)
+	v = strings.ReplaceAll(v, `"`, `\"`)
+	v = strings.ReplaceAll(v, "\n", `\n`)
+	return v
+}
 
 // Backend is one scrape target.
 type Backend struct {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -11,10 +10,9 @@ import (
 )
 
 // Lint strictly validates a Prometheus text exposition (format 0.0.4) and
-// returns every problem found. It is an independent re-implementation of
-// the format rules — not a call back into the Registry's writer — so it
-// can catch the writer's own bugs; the CI metrics-conformance job and the
-// scrape tests both run scrape output through it.
+// returns every problem found. It is the exposition reader (exposition.go)
+// plus shape checks; the CI metrics-conformance job and the scrape tests
+// both run scrape output through it.
 //
 // Checks: comment/sample grammar, metric and label name charsets, escape
 // sequences in label values, TYPE declared once and before samples, known
@@ -30,14 +28,7 @@ func Lint(r io.Reader) []error {
 		sampled: make(map[string]bool),
 		hists:   make(map[string]*histState),
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	n := 0
-	for sc.Scan() {
-		n++
-		l.line(n, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
+	if err := readText(r, l.line); err != nil {
 		l.errs = append(l.errs, fmt.Errorf("read: %w", err))
 	}
 	l.finish()
@@ -64,76 +55,31 @@ func (l *linter) errf(line int, format string, args ...any) {
 	l.errs = append(l.errs, fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...)))
 }
 
-func (l *linter) line(n int, s string) {
-	if strings.TrimSpace(s) == "" {
-		return
-	}
-	if strings.HasPrefix(s, "#") {
-		l.comment(n, s)
-		return
-	}
-	l.sample(n, s)
-}
-
-func (l *linter) comment(n int, s string) {
-	fields := strings.SplitN(s, " ", 4)
-	if len(fields) < 2 {
-		return // bare comment, legal and ignored
-	}
-	switch fields[1] {
-	case "HELP":
-		if len(fields) < 3 || !validMetricName(fields[2]) {
-			l.errf(n, "malformed HELP line %q", s)
+func (l *linter) line(ln textLine) {
+	switch {
+	case ln.err != nil:
+		l.errf(ln.n, "%v", ln.err)
+	case ln.kind == lineHelp:
+		if l.help[ln.name] {
+			l.errf(ln.n, "second HELP for metric %s", ln.name)
+		}
+		l.help[ln.name] = true
+	case ln.kind == lineType:
+		if _, dup := l.typ[ln.name]; dup {
+			l.errf(ln.n, "second TYPE for metric %s", ln.name)
 			return
 		}
-		if l.help[fields[2]] {
-			l.errf(n, "second HELP for metric %s", fields[2])
+		if l.sampled[ln.name] {
+			l.errf(ln.n, "TYPE for %s appears after its samples", ln.name)
 		}
-		l.help[fields[2]] = true
-	case "TYPE":
-		if len(fields) != 4 || !validMetricName(fields[2]) {
-			l.errf(n, "malformed TYPE line %q", s)
-			return
-		}
-		name, typ := fields[2], fields[3]
-		switch typ {
-		case "counter", "gauge", "histogram", "summary", "untyped":
-		default:
-			l.errf(n, "unknown TYPE %q for metric %s", typ, name)
-			return
-		}
-		if _, dup := l.typ[name]; dup {
-			l.errf(n, "second TYPE for metric %s", name)
-			return
-		}
-		if l.sampled[name] {
-			l.errf(n, "TYPE for %s appears after its samples", name)
-		}
-		l.typ[name] = typ
-	default:
-		// other comments are ignored
+		l.typ[ln.name] = ln.text
+	case ln.kind == lineSample:
+		l.sample(ln.n, ln.sample)
 	}
 }
 
-// sampleFamily maps a sample name to its declared family, folding
-// histogram/summary suffixes onto the base name.
-func sampleFamily(name string, typ map[string]string) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		base := strings.TrimSuffix(name, suf)
-		if base != name {
-			if t, ok := typ[base]; ok && (t == "histogram" || t == "summary") {
-				return base
-			}
-		}
-	}
-	return name
-}
-
-func (l *linter) sample(n int, s string) {
-	name, labels, value, ok := l.parseSample(n, s)
-	if !ok {
-		return
-	}
+func (l *linter) sample(n int, smp Sample) {
+	name, labels, value := smp.Name, smp.Labels, smp.Value
 	fam := sampleFamily(name, l.typ)
 	l.sampled[name] = true
 	l.sampled[fam] = true
@@ -164,7 +110,7 @@ func (l *linter) sample(n int, s string) {
 	rest := make([]Label, 0, len(labels))
 	for _, lb := range labels {
 		if lb.Key == "le" {
-			v, err := parseLintFloat(lb.Value)
+			v, err := strconv.ParseFloat(lb.Value, 64)
 			if err != nil {
 				l.errf(n, "unparseable le=%q on %s", lb.Value, name)
 				return
@@ -232,112 +178,6 @@ func (l *linter) finish() {
 	}
 }
 
-// parseSample parses `name{labels} value [timestamp]`.
-func (l *linter) parseSample(n int, s string) (string, []Label, float64, bool) {
-	i := 0
-	for i < len(s) && isNameChar(s[i], i == 0) {
-		i++
-	}
-	name := s[:i]
-	if !validMetricName(name) {
-		l.errf(n, "invalid metric name in sample %q", s)
-		return "", nil, 0, false
-	}
-	var labels []Label
-	if i < len(s) && s[i] == '{' {
-		var ok bool
-		labels, i, ok = l.parseLabels(n, s, i+1)
-		if !ok {
-			return "", nil, 0, false
-		}
-	}
-	rest := strings.Fields(s[i:])
-	if len(rest) < 1 || len(rest) > 2 {
-		l.errf(n, "expected value [timestamp] after series in %q", s)
-		return "", nil, 0, false
-	}
-	value, err := parseLintFloat(rest[0])
-	if err != nil {
-		l.errf(n, "unparseable value %q in %q", rest[0], s)
-		return "", nil, 0, false
-	}
-	if len(rest) == 2 {
-		if _, err := strconv.ParseInt(rest[1], 10, 64); err != nil {
-			l.errf(n, "unparseable timestamp %q in %q", rest[1], s)
-			return "", nil, 0, false
-		}
-	}
-	return name, labels, value, true
-}
-
-// parseLabels parses from just after '{' through '}', handling the three
-// escape sequences the format defines for label values (\\ \" \n).
-func (l *linter) parseLabels(n int, s string, i int) ([]Label, int, bool) {
-	var out []Label
-	for {
-		for i < len(s) && (s[i] == ' ' || s[i] == ',') {
-			i++
-		}
-		if i < len(s) && s[i] == '}' {
-			return out, i + 1, true
-		}
-		j := i
-		for j < len(s) && isLabelChar(s[j], j == i) {
-			j++
-		}
-		key := s[i:j]
-		if !validLintLabelName(key) {
-			l.errf(n, "invalid label name at column %d in %q", i+1, s)
-			return nil, 0, false
-		}
-		if j >= len(s) || s[j] != '=' {
-			l.errf(n, "expected = after label %s in %q", key, s)
-			return nil, 0, false
-		}
-		j++
-		if j >= len(s) || s[j] != '"' {
-			l.errf(n, "label value for %s not quoted in %q", key, s)
-			return nil, 0, false
-		}
-		j++
-		var val strings.Builder
-		for j < len(s) && s[j] != '"' {
-			if s[j] == '\\' {
-				j++
-				if j >= len(s) {
-					break
-				}
-				switch s[j] {
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					l.errf(n, "invalid escape \\%c in label %s of %q", s[j], key, s)
-					return nil, 0, false
-				}
-				j++
-				continue
-			}
-			val.WriteByte(s[j])
-			j++
-		}
-		if j >= len(s) {
-			l.errf(n, "unterminated label value for %s in %q", key, s)
-			return nil, 0, false
-		}
-		out = append(out, Label{Key: key, Value: val.String()})
-		i = j + 1
-	}
-}
-
-func parseLintFloat(s string) (float64, error) {
-	// strconv accepts "+Inf"/"-Inf"/"NaN" in the casings Prometheus emits.
-	return strconv.ParseFloat(s, 64)
-}
-
 func canonicalLintLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
@@ -348,32 +188,4 @@ func canonicalLintLabels(labels []Label) string {
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
-}
-
-func isNameChar(c byte, first bool) bool {
-	if c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-		return true
-	}
-	return !first && c >= '0' && c <= '9'
-}
-
-func isLabelChar(c byte, first bool) bool {
-	if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') {
-		return true
-	}
-	return !first && c >= '0' && c <= '9'
-}
-
-// validLintLabelName is validLabelName without the registry-side "le is
-// reserved" rule: scraped output legitimately contains le on buckets.
-func validLintLabelName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if !isLabelChar(s[i], i == 0) {
-			return false
-		}
-	}
-	return true
 }
