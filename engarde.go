@@ -288,8 +288,13 @@ func (p *Provider) NewEnclaveSnapshot(cfg EnclaveConfig) (*EnclaveSnapshot, erro
 
 // Clone mints a fresh provisioning-ready enclave from the snapshot,
 // behaviorally identical to CreateEnclave minus the measured-build cost.
-func (s *EnclaveSnapshot) Clone() (*Enclave, error) {
-	g, err := s.snap.Clone(nil)
+func (s *EnclaveSnapshot) Clone() (*Enclave, error) { return s.CloneTraced(nil) }
+
+// CloneTraced is Clone with the enclave's provisioning timeline recorded
+// on tr (the counterpart of EnclaveConfig.Trace): the clone-enclave span
+// and every later provisioning phase land there. tr may be nil.
+func (s *EnclaveSnapshot) CloneTraced(tr *obs.Trace) (*Enclave, error) {
+	g, err := s.snap.Clone(tr)
 	if err != nil {
 		return nil, err
 	}

@@ -26,26 +26,35 @@ import (
 	"engarde/internal/obs/fleet"
 )
 
-// sinkHasTrace polls a sink until a trace with the given ID is recorded —
-// the router and gateway record their traces at session teardown, which
-// races the client's verdict receipt by design.
-func sinkHasTrace(s *obs.Sink, id string) bool {
+// sinksWithTrace polls every sink in one loop until each sink indexed by
+// need has recorded a trace with the given ID, or 5 s pass, and reports
+// which sinks hold it. The router and gateways record their traces at
+// session teardown, which races the client's verdict receipt by design.
+func sinksWithTrace(id string, sinks []*obs.Sink, need ...int) []bool {
+	has := make([]bool, len(sinks))
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, d := range s.Recent() {
-			if d.ID == id {
-				return true
+	for {
+		for i, s := range sinks {
+			for _, d := range s.Recent() {
+				has[i] = has[i] || d.ID == id
 			}
+		}
+		done := true
+		for _, i := range need {
+			done = done && has[i]
+		}
+		if done || time.Now().After(deadline) {
+			return has
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return false
 }
 
 // TestFleetTracePropagation is the single-session acceptance test: a
 // client-originated trace ID must appear verbatim in the client's own
-// trace, the router's route trace, and the serving gateway's session
-// trace — three processes' span output joined by one 128-bit ID.
+// trace, the router's route trace, and the ring owner's session trace —
+// three processes' span output joined by one 128-bit ID — and in no other
+// gateway's.
 func TestFleetTracePropagation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet topology is not short")
@@ -90,18 +99,14 @@ func TestFleetTracePropagation(t *testing.T) {
 		t.Errorf("client trace has no successful attempt span: %+v", d.Spans)
 	}
 
-	if !sinkHasTrace(fl.RouterSink(), traceID) {
+	owner, other := ringOwner(t, fl, image)
+	has := sinksWithTrace(traceID, []*obs.Sink{fl.RouterSink(), fl.Sink(owner), fl.Sink(other)}, 0, 1)
+	if !has[0] {
 		t.Errorf("router never recorded a route trace with ID %s", traceID)
 	}
-	gwHasIt := false
-	for i := 0; i < 2; i++ {
-		if sinkHasTrace(fl.Sink(i), traceID) {
-			gwHasIt = true
-			break
-		}
-	}
-	if !gwHasIt {
-		t.Errorf("no gateway recorded a session trace with ID %s", traceID)
+	if !has[1] || has[2] {
+		t.Errorf("session traces with ID %s: ring owner %v, other backend %v; want the owner only",
+			traceID, has[1], has[2])
 	}
 }
 
@@ -191,7 +196,7 @@ func TestFleetFailoverOneTrace(t *testing.T) {
 	}
 
 	// The survivor's session trace joined the same distributed trace.
-	if !sinkHasTrace(fl.Sink(survivor), traceID) {
+	if !sinksWithTrace(traceID, []*obs.Sink{fl.Sink(survivor)}, 0)[0] {
 		t.Errorf("survivor's gateway never recorded trace %s", traceID)
 	}
 

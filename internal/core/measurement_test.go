@@ -75,3 +75,46 @@ func TestPinnedMeasurement(t *testing.T) {
 		})
 	}
 }
+
+// TestCloneChargeMatchesModel pins the clone path's cycle model at the
+// same configurations: the template costs the measured build plus one
+// SGX instruction per captured page, and each clone charges exactly
+// CloneCycleCost — one SGX instruction per page plus the SECS, EENTER and
+// one key agreement — however lazily the device restores zero pages.
+func TestCloneChargeMatchesModel(t *testing.T) {
+	for _, pin := range measurementPins {
+		t.Run(pin.name, func(t *testing.T) {
+			cfg := pin.cfg
+			pages := bootPages + cfg.HeapPages + cfg.ClientPages
+			cfg.Counter = cycles.NewCounter(cycles.DefaultModel())
+			dev, err := sgx.NewDevice(sgx.Config{EPCPages: pages, Version: cfg.Version, Counter: cfg.Counter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSnapshotter(cfg, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sgxCycles := cfg.Counter.Model()[cycles.UnitSGXInstr]
+			if got, want := s.BuildCycles(), pin.createTotal+uint64(pages)*sgxCycles; got != want {
+				t.Errorf("template charged %d cycles, want %d", got, want)
+			}
+			instrs := cfg.Counter.Units(cycles.PhaseProvision, cycles.UnitSGXInstr)
+			total := cfg.Counter.Total()
+			g, err := s.Clone(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Destroy()
+			if got := cfg.Counter.Units(cycles.PhaseProvision, cycles.UnitSGXInstr) - instrs; got != uint64(pages+2) {
+				t.Errorf("clone charged %d SGX instructions, want %d", got, pages+2)
+			}
+			if got := cfg.Counter.Total() - total; got != s.CloneCycleCost() {
+				t.Errorf("clone charged %d cycles, CloneCycleCost prices %d", got, s.CloneCycleCost())
+			}
+			if m := g.Measurement(); hex.EncodeToString(m[:]) != pin.mrenclave {
+				t.Errorf("clone MRENCLAVE = %x, want %s", m, pin.mrenclave)
+			}
+		})
+	}
+}

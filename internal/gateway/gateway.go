@@ -26,15 +26,16 @@
 //     /tracez), structured logs carrying the trace ID, and
 //     Serve(ctx)/Shutdown(ctx) with connection draining.
 //
-// Every connection still gets its own private enclave. Without pooling it
-// is freshly measured and destroyed at session end. With Config.EnclavePool
-// the measured build itself is amortized: one template enclave is built
-// and snapshotted at startup, sessions check out clones of that snapshot
-// (bit-identical pages, same MRENCLAVE, fresh enclave identity and
-// keypair), and returned enclaves are scrubbed back to the pristine
-// snapshot image before reuse — so the attestation story and the verdict
-// are exactly those of a fresh build (TestPooledProvisionMatchesFresh),
-// and no tenant's bytes survive into the next session.
+// Every connection still gets its own private enclave, cloned from one
+// per-gateway snapshot template: the template is built the measured way
+// (EADD/EEXTEND/EINIT) once, by the first session that needs it, and each
+// session's clone has bit-identical pages and the same MRENCLAVE under a
+// fresh enclave identity and keypair. The attestation story and the
+// verdict are exactly those of a fresh build
+// (TestPooledProvisionMatchesFresh), and the clone is destroyed at session
+// end. Config.EnclavePool additionally keeps clones of the same template
+// ready in advance and scrubs returned enclaves back to the pristine image
+// before reuse, so no tenant's bytes survive into the next session.
 package gateway
 
 import (
@@ -139,11 +140,11 @@ type Config struct {
 
 	// EnclavePool, when positive, keeps that many snapshot-cloned,
 	// attestation-ready enclaves checked in: sessions check one out in
-	// microseconds (the pool-checkout span replaces create-enclave),
+	// microseconds (the pool-checkout span replaces clone-enclave),
 	// background workers refill after checkout, and returned enclaves are
 	// scrubbed back to the pristine snapshot image before re-entering the
-	// pool. 0 disables pooling — every session builds its enclave the
-	// measured way, as before.
+	// pool. The pool's template is built in New. 0 disables pooling —
+	// every session clones the template on its own timeline.
 	EnclavePool int
 	// PoolRefillWorkers sizes the background clone/refill worker set;
 	// 0 means DefaultPoolRefillWorkers. Ignored when EnclavePool is 0.
@@ -198,6 +199,11 @@ type Gateway struct {
 	pool     *enclavePool     // warm enclave pool; nil when disabled
 	metrics  *metrics
 	log      *slog.Logger
+
+	// snap is the snapshot template every session's enclave is cloned
+	// from, built on first use (see template).
+	snapMu sync.Mutex
+	snap   *engarde.EnclaveSnapshot
 
 	queue    chan queuedConn
 	stop     chan struct{}
@@ -299,12 +305,14 @@ func New(cfg Config) (*Gateway, error) {
 		g.fnCache = fc
 	}
 	if cfg.EnclavePool > 0 {
-		pool, err := newEnclavePool(g)
+		// The pool fills at boot, so its template is built now rather
+		// than by the first session.
+		snap, err := g.template(nil)
 		if err != nil {
 			g.closeFnCache()
 			return nil, fmt.Errorf("gateway: building enclave pool: %w", err)
 		}
-		g.pool = pool
+		g.pool = newEnclavePool(g, snap)
 	}
 	// After the caches, pool and counter so the registry's live-read series
 	// match what this gateway actually has, before the workers so no
@@ -554,15 +562,15 @@ func (g *Gateway) handle(q queuedConn) {
 	start := time.Now()
 
 	// Warm path: check a cloned, attestation-ready enclave out of the pool
-	// (microseconds; the pool-checkout span stands where create-enclave
-	// would). A drained pool falls through to the cold path below, so
-	// pooling changes latency, never availability.
+	// (microseconds; the pool-checkout span stands where clone-enclave
+	// would). A drained pool falls through to a clone on this session's
+	// timeline, so pooling changes latency, never availability.
 	encl, warm, aerr := g.acquireEnclave(tr)
 	if aerr != nil {
+		g.finishTrace(tr)
 		g.metrics.errs.Inc()
 		g.log.Error("gateway: creating enclave",
 			"trace", tr.ID(), "remote", connAddr(conn), "err", aerr)
-		g.finishTrace(tr)
 		if g.cfg.OnServed != nil {
 			g.cfg.OnServed(conn, nil, nil, aerr)
 		}
@@ -612,7 +620,7 @@ func (g *Gateway) handle(q queuedConn) {
 	// recoverLost is the transparent enclave failover: when provisioning
 	// failed because the enclave's EPC pages were reclaimed under it, the
 	// staged image (plaintext and digest) is still in hand, so the session
-	// is re-run in full on a replacement enclave (pool clone or cold build —
+	// is re-run in full on a replacement enclave (pooled or freshly cloned —
 	// identical MRENCLAVE either way) instead of surfacing a machinery
 	// failure to a client that did nothing wrong. The first attempt already
 	// released any speculative decode, so the replay decodes from the
@@ -653,7 +661,10 @@ func (g *Gateway) handle(q queuedConn) {
 		return rep, nil
 	})
 	dur := time.Since(start)
-	g.metrics.served.Inc()
+	// Every series the session feeds settles before served counts it, so
+	// a reader that sees Served == n also sees n sessions in the span
+	// histograms and the verdict counters.
+	g.finishTrace(tr)
 	g.metrics.latency.Observe(uint64(dur / time.Millisecond))
 	switch {
 	case err != nil:
@@ -677,7 +688,7 @@ func (g *Gateway) handle(q queuedConn) {
 			"trace", tr.ID(), "remote", connAddr(conn), "verdict", "non-compliant",
 			"cache_hit", rep.CacheHit, "dur_ms", dur.Milliseconds())
 	}
-	g.finishTrace(tr)
+	g.metrics.served.Inc()
 	if g.cfg.OnServed != nil {
 		g.cfg.OnServed(conn, encl, rep, err)
 	}
@@ -685,8 +696,9 @@ func (g *Gateway) handle(q queuedConn) {
 
 // acquireEnclave obtains the session's enclave: a warm pool checkout when
 // one is ready (the pool itself drains lost enclaves, so a warm result is
-// healthy at handoff), else a cold measured build. Used both at session
-// start and to find a replacement during mid-provision enclave failover.
+// healthy at handoff), else a clone of the template traced as the
+// session's clone-enclave span. Used both at session start and to find a
+// replacement during mid-provision enclave failover.
 func (g *Gateway) acquireEnclave(tr *obs.Trace) (*engarde.Enclave, bool, error) {
 	if g.pool != nil {
 		sp := tr.StartPhase("pool-checkout")
@@ -697,16 +709,41 @@ func (g *Gateway) acquireEnclave(tr *obs.Trace) (*engarde.Enclave, bool, error) 
 			return encl, true, nil
 		}
 	}
-	encl, err := g.cfg.Provider.CreateEnclave(engarde.EnclaveConfig{
+	snap, err := g.template(tr)
+	if err != nil {
+		return nil, false, err
+	}
+	encl, err := snap.CloneTraced(tr)
+	return encl, false, err
+}
+
+// template returns the gateway's snapshot template, building it the
+// measured way on first use. Sessions that arrive during the build wait
+// for it; a failed build is returned to its caller and retried by the
+// next. The build shows on the building session's trace as a
+// snapshot-template span, but its cycles are the gateway's one-time cost,
+// not that session's.
+func (g *Gateway) template(tr *obs.Trace) (*engarde.EnclaveSnapshot, error) {
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	if g.snap != nil {
+		return g.snap, nil
+	}
+	sp := tr.StartSpan("snapshot-template")
+	snap, err := g.cfg.Provider.NewEnclaveSnapshot(engarde.EnclaveConfig{
 		Policies:      g.cfg.Policies,
 		HeapPages:     g.cfg.HeapPages,
 		ClientPages:   g.cfg.ClientPages,
 		DisasmWorkers: g.cfg.DisasmWorkers,
 		PolicyWorkers: g.cfg.PolicyWorkers,
 		FnCache:       g.fnCache,
-		Trace:         tr,
 	})
-	return encl, false, err
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("gateway: building snapshot template: %w", err)
+	}
+	g.snap = snap
+	return snap, nil
 }
 
 // finishTrace closes the session trace, feeds its spans into the aggregate

@@ -174,7 +174,7 @@ func newMetrics(g *Gateway) *metrics {
 			"Configured warm-pool depth the refill workers maintain.",
 			func() float64 { return float64(p.target) })
 		reg.CounterFunc("engarde_gateway_pool_checkouts_total",
-			"Enclave checkouts by source: warm (pooled) or cold (fallback build).",
+			"Enclave checkouts by source: warm (pooled) or cold (fallback clone).",
 			p.warm.Load, obs.Label{Key: "source", Value: "warm"})
 		reg.CounterFunc("engarde_gateway_pool_checkouts_total", "",
 			p.cold.Load, obs.Label{Key: "source", Value: "cold"})

@@ -1,14 +1,14 @@
 package gateway
 
-// The enclave warm pool. BENCH_5/BENCH_6 showed the create-enclave span
-// (EADD/EEXTEND/EINIT of every page plus RSA keygen) dwarfing the actual
-// provisioning work, so the gateway keeps N snapshot-cloned,
-// attestation-ready enclaves checked in. A session checks one out in
-// microseconds (the pool-checkout span replaces create-enclave on warm
-// sessions), refill workers clone replacements in the background, and
-// returned enclaves are scrubbed back to the snapshot image — erasing all
-// client residue — before re-entering the pool. A drained pool degrades to
-// the cold path; it never blocks admission control.
+// The enclave warm pool. Without it every session clones the gateway's
+// snapshot template on its own timeline (the clone-enclave span); the pool
+// keeps N clones of that same template attestation-ready and checked in.
+// A session checks one out in microseconds (the pool-checkout span
+// replaces clone-enclave on warm sessions), refill workers clone
+// replacements in the background, and returned enclaves are scrubbed back
+// to the snapshot image — erasing all client residue — before re-entering
+// the pool. A drained pool degrades to a synchronous clone; it never
+// blocks admission control.
 
 import (
 	"log/slog"
@@ -74,22 +74,11 @@ type enclavePool struct {
 	lost      atomic.Uint64 // enclaves found lost (EPC reclaimed) at checkout/return
 }
 
-// newEnclavePool builds the pool (including the one-time snapshot template)
-// but does not start the refill workers — the gateway starts them after the
+// newEnclavePool builds the pool over the gateway's snapshot template but
+// does not start the refill workers — the gateway starts them after the
 // metrics registry exists, so the wait histogram is never nil mid-flight.
-func newEnclavePool(g *Gateway) (*enclavePool, error) {
+func newEnclavePool(g *Gateway, snap *engarde.EnclaveSnapshot) *enclavePool {
 	cfg := &g.cfg
-	snap, err := cfg.Provider.NewEnclaveSnapshot(engarde.EnclaveConfig{
-		Policies:      cfg.Policies,
-		HeapPages:     cfg.HeapPages,
-		ClientPages:   cfg.ClientPages,
-		DisasmWorkers: cfg.DisasmWorkers,
-		PolicyWorkers: cfg.PolicyWorkers,
-		FnCache:       g.fnCache,
-	})
-	if err != nil {
-		return nil, err
-	}
 	wait := cfg.PoolCheckoutWait
 	if wait == 0 {
 		wait = DefaultPoolCheckoutWait
@@ -107,7 +96,7 @@ func newEnclavePool(g *Gateway) (*enclavePool, error) {
 		kick:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
-	}, nil
+	}
 }
 
 // start launches the refill workers and requests the initial fill.

@@ -1,6 +1,6 @@
 package gateway_test
 
-// The enclave warm-pool battery: warm sessions swap the create-enclave
+// The enclave warm-pool battery: warm sessions swap the clone-enclave
 // span for a pool-checkout, scrubbed enclaves carry no residue across
 // tenants, admission control still sheds when the pool is drained, the
 // pool's counters survive concurrent scraping under -race, and a chaos
@@ -135,7 +135,8 @@ func TestGatewayPooledWarmSessions(t *testing.T) {
 		t.Errorf("clones = %d, want 2 (initial fill only; returns are scrubbed)", s.Pool.Clones)
 	}
 
-	// Warm traces: pool-checkout stands where create-enclave would.
+	// Warm traces: pool-checkout stands where a drained pool's
+	// clone-enclave (or a measured create-enclave) would.
 	var warmTraces int
 	for _, tr := range sink.Recent() {
 		var hasCheckout, hasCreate bool
@@ -143,14 +144,14 @@ func TestGatewayPooledWarmSessions(t *testing.T) {
 			switch sp.Name {
 			case "pool-checkout":
 				hasCheckout = true
-			case "create-enclave":
+			case "clone-enclave", "create-enclave":
 				hasCreate = true
 			}
 		}
 		if hasCheckout && !hasCreate {
 			warmTraces++
 		} else if hasCreate {
-			t.Errorf("trace %s paid create-enclave with a filled pool (spans: %v)", tr.ID, spanNames(tr.Spans))
+			t.Errorf("trace %s minted its enclave with a filled pool (spans: %v)", tr.ID, spanNames(tr.Spans))
 		}
 	}
 	if warmTraces != 2 {

@@ -87,8 +87,10 @@ func TestStreamingServesAndObserves(t *testing.T) {
 		}
 		t.Fatalf("exposition failed lint (%d problems)", len(errs))
 	}
-	if got := sampleValue(t, body, "engarde_gateway_first_byte_to_verdict_seconds_count"); got < 2 {
-		t.Errorf("first-byte-to-verdict histogram count = %v, want >= 2", got)
+	// Served counts a session only after its trace is folded in, so the
+	// histogram holds exactly the two sessions.
+	if got := sampleValue(t, body, "engarde_gateway_first_byte_to_verdict_seconds_count"); got != 2 {
+		t.Errorf("first-byte-to-verdict histogram count = %v, want 2", got)
 	}
 	if got := sampleValue(t, body, "engarde_gateway_frame_gap_seconds_count"); got < 1 {
 		t.Errorf("frame gap histogram count = %v, want >= 1", got)

@@ -83,3 +83,28 @@ func TestPageInstructionAllocs(t *testing.T) {
 	check("Read", 2, func() error { return e.Read(base+PageSize+13, buf) })
 	check("Write", 3, func() error { return e.Write(base+2*PageSize-7, buf) })
 }
+
+// cloneMaxAllocs bounds CloneEnclave plus DestroyEnclave at the default
+// EnGarde shape. Zero pages cost no allocation, so what remains is the
+// enclave, its page map and one CTR stream per content page.
+const cloneMaxAllocs = 64
+
+func TestCloneAllocs(t *testing.T) {
+	d, snap := defaultSnapshot(t)
+	var opErr error
+	allocs, bytes := perOp(20, func() {
+		e, err := d.CloneEnclave(snap)
+		if err != nil {
+			opErr = err
+			return
+		}
+		d.DestroyEnclave(e)
+	})
+	if opErr != nil {
+		t.Fatal(opErr)
+	}
+	t.Logf("clone+destroy of %d pages: %.1f allocs/op, %.0f B/op", snap.Pages(), allocs, bytes)
+	if allocs > cloneMaxAllocs {
+		t.Errorf("clone+destroy: %.1f allocs/op, ceiling %d", allocs, cloneMaxAllocs)
+	}
+}

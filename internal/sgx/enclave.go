@@ -143,7 +143,8 @@ func (d *Device) ECreate(base, size uint64) (*Enclave, error) {
 // EAdd copies a 4 KiB source page into a free EPC page, records it in the
 // EPCM with the given permissions, and extends the measurement with the
 // page's metadata. Content is measured separately via EExtend, as on real
-// hardware.
+// hardware. Empty content adds a zero page, whose ciphertext is written on
+// first touch.
 func (d *Device) EAdd(e *Enclave, vaddr uint64, perm Perm, ptype PageType, content []byte) error {
 	if vaddr%PageSize != 0 {
 		return fmt.Errorf("%w: EADD vaddr %#x not page-aligned", ErrBadAddress, vaddr)
@@ -177,8 +178,12 @@ func (d *Device) EAdd(e *Enclave, vaddr uint64, perm Perm, ptype PageType, conte
 	}
 	pg := &d.epc[slot]
 	pg.setEPCM(e.id, vaddr, perm, ptype)
-	clear(pg.data[copy(pg.data[:], content):]) // zero-fill a short source
-	d.cryptPage(slot, e.id, 0, pg.data[:])
+	if len(content) == 0 {
+		pg.zero = true
+	} else {
+		clear(pg.data[copy(pg.data[:], content):]) // zero-fill a short source
+		d.cryptPage(slot, e.id, 0, pg.data[:])
+	}
 	e.pages[vaddr] = slot
 
 	if e.mr != nil {
@@ -194,6 +199,9 @@ func (d *Device) EAdd(e *Enclave, vaddr uint64, perm Perm, ptype PageType, conte
 
 // extendChunk is the EEXTEND measurement granularity.
 const extendChunk = 256
+
+// zeroChunk is what EEXTEND measures over any chunk of a zero page.
+var zeroChunk [extendChunk]byte
 
 // EExtend measures one 256-byte chunk of an added page into the enclave's
 // measurement.
@@ -211,6 +219,10 @@ func (d *Device) EExtend(e *Enclave, vaddr uint64, offset uint64) error {
 	if e.mr == nil {
 		return nil
 	}
+	if d.epc[slot].zero {
+		d.extendLocked(e, vaddr+offset, zeroChunk[:])
+		return nil
+	}
 	chunk := d.scratch.page[:extendChunk]
 	copy(chunk, d.epc[slot].data[offset:])
 	d.cryptPage(slot, e.id, int(offset), chunk)
@@ -220,7 +232,7 @@ func (d *Device) EExtend(e *Enclave, vaddr uint64, offset uint64) error {
 
 // EExtendPage measures a whole page. It is semantically identical to 16
 // consecutive EEXTENDs (same measurement, same 16-instruction charge) but
-// decrypts the page once.
+// decrypts the page once, and a zero page not at all.
 func (d *Device) EExtendPage(e *Enclave, vaddr uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -230,6 +242,12 @@ func (d *Device) EExtendPage(e *Enclave, vaddr uint64) error {
 	}
 	d.chargeLocked(PageSize / extendChunk)
 	if e.mr == nil {
+		return nil
+	}
+	if d.epc[slot].zero {
+		for off := uint64(0); off < PageSize; off += extendChunk {
+			d.extendLocked(e, vaddr+off, zeroChunk[:])
+		}
 		return nil
 	}
 	pt := d.scratch.page[:]
@@ -278,8 +296,7 @@ func (d *Device) ERemove(e *Enclave, vaddr uint64) error {
 		return fmt.Errorf("%w: EREMOVE %#x", ErrPageNotMapped, vaddr)
 	}
 	delete(e.pages, vaddr)
-	d.epc[slot] = epcPage{}
-	d.free = append(d.free, slot)
+	d.freeSlotLocked(slot)
 	return nil
 }
 
@@ -288,8 +305,7 @@ func (d *Device) DestroyEnclave(e *Enclave) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, slot := range e.pages {
-		d.epc[slot] = epcPage{}
-		d.free = append(d.free, slot)
+		d.freeSlotLocked(slot)
 	}
 	e.pages = make(map[uint64]int)
 	delete(d.enclaves, e.id)
@@ -348,8 +364,7 @@ func (d *Device) EAug(e *Enclave, vaddr uint64, perm Perm) error {
 	pg := &d.epc[slot]
 	pg.setEPCM(e.id, vaddr, perm, PageREG)
 	pg.pending = true
-	clear(pg.data[:])
-	d.cryptPage(slot, e.id, 0, pg.data[:])
+	pg.zero = true
 	e.pages[vaddr] = slot
 	return nil
 }
@@ -453,12 +468,19 @@ func (e *Enclave) access(addr uint64, buf []byte, write bool) error {
 		if n > PageSize-off {
 			n = PageSize - off
 		}
-		if write {
-			copy(pg.data[off:off+n], buf[pos:pos+n])
-			d.cryptPage(slot, e.id, off, pg.data[off:off+n])
-		} else {
+		switch {
+		case !write && pg.zero:
+			clear(buf[pos : pos+n])
+		case !write:
 			copy(buf[pos:pos+n], pg.data[off:off+n])
 			d.cryptPage(slot, e.id, off, buf[pos:pos+n])
+		default:
+			if n < PageSize {
+				d.materializeLocked(slot) // the rest of the page keeps its zeros
+			}
+			pg.zero = false
+			copy(pg.data[off:off+n], buf[pos:pos+n])
+			d.cryptPage(slot, e.id, off, pg.data[off:off+n])
 		}
 		pos += n
 	}

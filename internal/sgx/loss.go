@@ -36,8 +36,7 @@ func (d *Device) reclaimLocked(e *Enclave) int {
 	n := len(e.pages)
 	d.chargeLocked(uint64(n))
 	for _, slot := range e.pages {
-		d.epc[slot] = epcPage{}
-		d.free = append(d.free, slot)
+		d.freeSlotLocked(slot)
 	}
 	e.pages = make(map[uint64]int)
 	e.lost = true

@@ -101,8 +101,12 @@ func (d *Device) EWB(e *Enclave, vaddr uint64) (*EvictedPage, error) {
 	}
 	pg := &d.epc[slot]
 	plain := d.scratch.page[:]
-	copy(plain, pg.data[:])
-	d.cryptPage(slot, e.id, 0, plain)
+	if pg.zero {
+		clear(plain)
+	} else {
+		copy(plain, pg.data[:])
+		d.cryptPage(slot, e.id, 0, plain)
+	}
 
 	if e.evicted == nil {
 		e.evicted = make(map[uint64]uint64)
@@ -124,8 +128,7 @@ func (d *Device) EWB(e *Enclave, vaddr uint64) (*EvictedPage, error) {
 	ep.MAC = d.evictMAC(ep)
 
 	delete(e.pages, vaddr)
-	d.epc[slot] = epcPage{}
-	d.free = append(d.free, slot)
+	d.freeSlotLocked(slot)
 	return ep, nil
 }
 

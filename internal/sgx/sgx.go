@@ -131,12 +131,40 @@ type epcPage struct {
 	perm    Perm
 	ptype   PageType
 	pending bool // EAUG'd but not yet EACCEPT'd (v2)
+	// zero means the page's plaintext is all zeros and data does not hold
+	// its ciphertext yet: the keystream is written on first touch
+	// (materializeLocked). A simulation shortcut only — no instruction is
+	// charged differently, and every observer sees the eager page.
+	zero bool
 }
 
 // setEPCM makes a freshly allocated slot a valid, accepted page of owner.
-// The page data is left for the caller to fill.
+// The page data is left for the caller to fill, or to mark zero.
 func (pg *epcPage) setEPCM(owner EnclaveID, vaddr uint64, perm Perm, ptype PageType) {
-	pg.valid, pg.owner, pg.vaddr, pg.perm, pg.ptype, pg.pending = true, owner, vaddr, perm, ptype, false
+	pg.valid, pg.owner, pg.vaddr, pg.perm, pg.ptype, pg.pending, pg.zero = true, owner, vaddr, perm, ptype, false, false
+}
+
+// freeSlotLocked invalidates a slot's EPCM entry and returns the slot to
+// the free pool. The stale ciphertext stays: no path can read an invalid
+// slot, and every allocation path writes the whole page or marks it zero
+// before the slot becomes valid again. Callers hold d.mu.
+func (d *Device) freeSlotLocked(slot int) {
+	pg := &d.epc[slot]
+	pg.valid, pg.owner, pg.vaddr, pg.perm, pg.ptype, pg.pending, pg.zero = false, 0, 0, 0, 0, false, false
+	d.free = append(d.free, slot)
+}
+
+// materializeLocked writes a zero page's ciphertext, the keystream of an
+// all-zero page under its (slot, owner) IV, so data holds what an eager
+// write would have left. Callers hold d.mu.
+func (d *Device) materializeLocked(slot int) {
+	pg := &d.epc[slot]
+	if !pg.zero {
+		return
+	}
+	clear(pg.data[:])
+	d.cryptPage(slot, pg.owner, 0, pg.data[:])
+	pg.zero = false
 }
 
 // Config configures a Device.
@@ -279,6 +307,7 @@ func (d *Device) RawEPCPage(slot int) ([]byte, bool) {
 	if slot < 0 || slot >= len(d.epc) || !d.epc[slot].valid {
 		return nil, false
 	}
+	d.materializeLocked(slot)
 	out := make([]byte, PageSize)
 	copy(out, d.epc[slot].data[:])
 	return out, true

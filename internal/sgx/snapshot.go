@@ -26,19 +26,25 @@ import (
 // read-out); cloning and scrubbing charge one per page (an ELDU-style
 // restore) plus one for the SECS setup — 17× fewer SGX instructions than
 // the EADD + 16×EEXTEND build, and none of the measurement hashing.
+//
+// Zero pages (the heap and client regions of an EnGarde enclave) are
+// captured without bytes and restored as zero pages, whose ciphertext is
+// written on first touch. That changes no charge: it only keeps the
+// simulation from encrypting pages a session never reads.
 
 // snapPage is one captured page: plaintext content plus its EPCM entry.
 type snapPage struct {
 	vaddr uint64
 	perm  Perm
 	ptype PageType
-	data  [PageSize]byte // plaintext; re-encrypted per clone
+	data  *[PageSize]byte // plaintext, re-encrypted per clone; nil for a zero page
 }
 
 // Snapshot is a reusable post-EINIT enclave image. It lives in host memory
 // (outside the EPC), holding plaintext page contents — acceptable here
 // because the snapshot is taken from the *bootstrap* enclave before any
 // client secret enters it; both parties can already inspect that code.
+// Zero pages hold no bytes.
 type Snapshot struct {
 	base      uint64
 	size      uint64
@@ -93,10 +99,17 @@ func (d *Device) SnapshotEnclave(e *Enclave) (*Snapshot, error) {
 	}
 	for vaddr, slot := range e.pages {
 		pg := &d.epc[slot]
-		s.pages = append(s.pages, snapPage{vaddr: vaddr, perm: pg.perm, ptype: pg.ptype})
-		sp := &s.pages[len(s.pages)-1]
-		sp.data = pg.data
-		d.cryptPage(slot, e.id, 0, sp.data[:])
+		sp := snapPage{vaddr: vaddr, perm: pg.perm, ptype: pg.ptype}
+		if !pg.zero {
+			pt := &d.scratch.page
+			*pt = pg.data
+			d.cryptPage(slot, e.id, 0, pt[:])
+			if *pt != ([PageSize]byte{}) {
+				sp.data = new([PageSize]byte)
+				*sp.data = *pt
+			}
+		}
+		s.pages = append(s.pages, sp)
 	}
 	sort.Slice(s.pages, func(i, j int) bool { return s.pages[i].vaddr < s.pages[j].vaddr })
 	return s, nil
@@ -132,15 +145,13 @@ func (d *Device) CloneEnclave(s *Snapshot) (*Enclave, error) {
 			// Unreachable given the free-list check above, but roll back
 			// defensively so a bug never leaks slots.
 			for _, used := range e.pages {
-				d.epc[used] = epcPage{}
-				d.free = append(d.free, used)
+				d.freeSlotLocked(used)
 			}
 			return nil, err
 		}
 		pg := &d.epc[slot]
 		pg.setEPCM(e.id, sp.vaddr, sp.perm, sp.ptype)
-		pg.data = sp.data
-		d.cryptPage(slot, e.id, 0, pg.data[:])
+		d.restoreLocked(slot, sp)
 		e.pages[sp.vaddr] = slot
 	}
 	d.enclaves[e.id] = e
@@ -177,12 +188,25 @@ func (d *Device) ScrubEnclave(e *Enclave, s *Snapshot) error {
 			return fmt.Errorf("%w: scrub: %#x", ErrPageNotMapped, sp.vaddr)
 		}
 		pg := &d.epc[slot]
-		pg.data = sp.data
-		d.cryptPage(slot, e.id, 0, pg.data[:])
+		d.restoreLocked(slot, sp)
 		pg.perm = sp.perm
 		pg.ptype = sp.ptype
 		pg.pending = false
 	}
 	e.locked = false
 	return nil
+}
+
+// restoreLocked writes a captured page's content into slot under the
+// slot's current owner: re-encrypted bytes, or the zero mark. Callers hold
+// d.mu.
+func (d *Device) restoreLocked(slot int, sp *snapPage) {
+	pg := &d.epc[slot]
+	if sp.data == nil {
+		pg.zero = true
+		return
+	}
+	pg.zero = false
+	pg.data = *sp.data
+	d.cryptPage(slot, pg.owner, 0, pg.data[:])
 }
