@@ -20,6 +20,7 @@ package engarde_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"engarde/internal/bench"
@@ -271,7 +272,8 @@ func BenchmarkAblationEPCPaging(b *testing.B) {
 }
 
 // BenchmarkDisassemblerThroughput measures the real (wall-clock) decode
-// rate of the NaCl-style disassembler on generated code.
+// rate of the NaCl-style disassembler on generated code, per byte and per
+// instruction (ns/inst, B/inst).
 func BenchmarkDisassemblerThroughput(b *testing.B) {
 	bin, err := toolchain.Build(toolchain.Config{
 		Name: "thr", Seed: 82, NumFuncs: 100, AvgFuncInsts: 200,
@@ -285,6 +287,8 @@ func BenchmarkDisassemblerThroughput(b *testing.B) {
 	}
 	text := f.Section(".text")
 	b.SetBytes(int64(len(text.Data)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		insts, err := x86.DecodeAll(text.Data, text.Addr)
@@ -295,6 +299,11 @@ func BenchmarkDisassemblerThroughput(b *testing.B) {
 			b.Fatalf("decoded %d, want %d", len(insts), bin.NumInsts)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(bin.NumInsts)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/inst")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/inst")
 }
 
 // BenchmarkProvisionWallClock measures real end-to-end provisioning time

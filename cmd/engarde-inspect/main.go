@@ -86,7 +86,7 @@ func run(binPath, policyList string, disasm, symbols bool) error {
 	if disasm {
 		for i := range prog.Insts {
 			in := &prog.Insts[i]
-			fmt.Printf("  %#08x: %-24x %s\n", in.Addr, in.Raw, in.String())
+			fmt.Printf("  %#08x: %-24x %s\n", in.Addr, prog.Raw(i), in.String())
 		}
 	}
 

@@ -62,9 +62,11 @@ func chaosImage(t *testing.T, name string, seed int64, funcs int, compliant bool
 	return bin.Image
 }
 
-// killAfterConn triggers kill once the client has written at least
-// threshold bytes into the session — a deterministic "owner crashed
-// mid-transfer" point in the stream.
+// killAfterConn triggers kill once the client has written threshold
+// bytes into the session — a deterministic "owner crashed mid-transfer"
+// point in the stream. A write that crosses the threshold is split there:
+// an image smaller than one frame goes out in a single write, and killing
+// only after it would race the backend finishing the whole session.
 type killAfterConn struct {
 	net.Conn
 	written   int
@@ -73,12 +75,22 @@ type killAfterConn struct {
 }
 
 func (c *killAfterConn) Write(b []byte) (int, error) {
+	head := 0
+	if c.written < c.threshold && c.written+len(b) > c.threshold {
+		n, err := c.Conn.Write(b[:c.threshold-c.written])
+		c.written += n
+		if err != nil {
+			return n, err
+		}
+		c.kill()
+		head, b = n, b[n:]
+	}
 	n, err := c.Conn.Write(b)
 	c.written += n
 	if c.written >= c.threshold {
 		c.kill()
 	}
-	return n, err
+	return head + n, err
 }
 
 // TestFleetFailoverMidStream is the deterministic failure-domain

@@ -102,12 +102,12 @@ func isProloguish(in *x86.Inst) bool {
 	switch in.Op {
 	case x86.OpSub:
 		// sub $imm, %rsp
-		return in.NArgs == 2 && in.Args[0].IsReg(x86.RegSP) && in.Args[1].Kind == x86.KindImm
+		return in.NArgs() == 2 && in.Arg(0).IsReg(x86.RegSP) && in.Arg(1).Kind == x86.KindImm
 	case x86.OpPush:
-		return in.NArgs == 1 && in.Args[0].Kind == x86.KindReg
+		return in.NArgs() == 1 && in.Arg(0).Kind == x86.KindReg
 	case x86.OpMov:
 		// mov %rsp, %rbp style
-		return in.NArgs == 2 && in.Args[0].IsReg(x86.RegBP) && in.Args[1].IsReg(x86.RegSP)
+		return in.NArgs() == 2 && in.Arg(0).IsReg(x86.RegBP) && in.Arg(1).IsReg(x86.RegSP)
 	}
 	return false
 }

@@ -159,27 +159,27 @@ func (c *CPU) Step() (bool, error) {
 		return true, nil
 
 	case x86.OpMov:
-		v, err := c.readOperand(&in, in.Args[1])
+		v, err := c.readOperand(&in, in.Arg(1))
 		if err != nil {
 			return false, err
 		}
-		if err := c.writeOperand(&in, in.Args[0], v); err != nil {
+		if err := c.writeOperand(&in, in.Arg(0), v); err != nil {
 			return false, err
 		}
 	case x86.OpMovsxd:
-		v, err := c.readOperand(&in, in.Args[1])
+		v, err := c.readOperand(&in, in.Arg(1))
 		if err != nil {
 			return false, err
 		}
-		if err := c.writeOperand(&in, in.Args[0], uint64(int64(int32(v)))); err != nil {
+		if err := c.writeOperand(&in, in.Arg(0), uint64(int64(int32(v)))); err != nil {
 			return false, err
 		}
 	case x86.OpLea:
-		addr, err := c.effectiveAddr(&in, in.Args[1])
+		addr, err := c.effectiveAddr(&in, in.Arg(1))
 		if err != nil {
 			return false, err
 		}
-		if err := c.writeOperand(&in, in.Args[0], addr); err != nil {
+		if err := c.writeOperand(&in, in.Arg(0), addr); err != nil {
 			return false, err
 		}
 
@@ -188,15 +188,15 @@ func (c *CPU) Step() (bool, error) {
 			return false, err
 		}
 	case x86.OpImul:
-		a, err := c.readOperand(&in, in.Args[0])
+		a, err := c.readOperand(&in, in.Arg(0))
 		if err != nil {
 			return false, err
 		}
-		b, err := c.readOperand(&in, in.Args[1])
+		b, err := c.readOperand(&in, in.Arg(1))
 		if err != nil {
 			return false, err
 		}
-		if err := c.writeOperand(&in, in.Args[0], a*b); err != nil {
+		if err := c.writeOperand(&in, in.Arg(0), a*b); err != nil {
 			return false, err
 		}
 	case x86.OpShl, x86.OpShr, x86.OpSar:
@@ -205,7 +205,7 @@ func (c *CPU) Step() (bool, error) {
 		}
 
 	case x86.OpPush:
-		v, err := c.readOperand(&in, in.Args[0])
+		v, err := c.readOperand(&in, in.Arg(0))
 		if err != nil {
 			return false, err
 		}
@@ -217,7 +217,7 @@ func (c *CPU) Step() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if err := c.writeOperand(&in, in.Args[0], v); err != nil {
+		if err := c.writeOperand(&in, in.Arg(0), v); err != nil {
 			return false, err
 		}
 
@@ -232,7 +232,7 @@ func (c *CPU) Step() (bool, error) {
 		c.RIP = tgt
 		return false, nil
 	case x86.OpCallInd:
-		tgt, err := c.readOperand(&in, in.Args[0])
+		tgt, err := c.readOperand(&in, in.Arg(0))
 		if err != nil {
 			return false, err
 		}
@@ -259,7 +259,7 @@ func (c *CPU) Step() (bool, error) {
 		c.RIP = tgt
 		return false, nil
 	case x86.OpJmpInd:
-		tgt, err := c.readOperand(&in, in.Args[0])
+		tgt, err := c.readOperand(&in, in.Arg(0))
 		if err != nil {
 			return false, err
 		}
@@ -421,7 +421,7 @@ func widthBytes(w uint8) int {
 }
 
 func (c *CPU) arith(in *x86.Inst) error {
-	dst, src := in.Args[0], in.Args[1]
+	dst, src := in.Arg(0), in.Arg(1)
 	a, err := c.readOperand(in, dst)
 	if err != nil {
 		return err
@@ -467,12 +467,12 @@ func (c *CPU) arith(in *x86.Inst) error {
 }
 
 func (c *CPU) shift(in *x86.Inst) error {
-	dst := in.Args[0]
+	dst := in.Arg(0)
 	a, err := c.readOperand(in, dst)
 	if err != nil {
 		return err
 	}
-	amt, err := c.readOperand(in, in.Args[1])
+	amt, err := c.readOperand(in, in.Arg(1))
 	if err != nil {
 		return err
 	}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,9 +63,29 @@ var (
 // index and is immutable (and therefore freely shared) once built.
 type Program struct {
 	// Insts is the full decoded instruction sequence in address order.
+	// The records hold no bytes: Raw serves them from Code.
 	Insts []x86.Inst
+	// Code is the validated text region, Code[0] at Base. It aliases the
+	// buffer the Program was decoded from.
+	Code []byte
 	// Base and End delimit the validated text region.
 	Base, End uint64
+}
+
+// Raw returns the encoded bytes of instruction i, a view of Code.
+func (p *Program) Raw(i int) []byte {
+	in := &p.Insts[i]
+	return p.Code[in.Addr-p.Base:][:in.Len]
+}
+
+// Span returns the encoded bytes of instructions [lo, hi), a view of Code:
+// decoded instructions tile the region, so their bytes are contiguous.
+func (p *Program) Span(lo, hi int) []byte {
+	if lo >= hi {
+		return nil
+	}
+	last := &p.Insts[hi-1]
+	return p.Code[p.Insts[lo].Addr-p.Base : last.Addr+uint64(last.Len)-p.Base]
 }
 
 // InstAt returns the index of the instruction starting exactly at addr.
@@ -123,15 +144,15 @@ func DecodeProgramTraced(code []byte, base uint64, counter *cycles.Counter, work
 	if err != nil {
 		return nil, err
 	}
-	return finishProgram(insts, base, uint64(len(code)), counter, workers, tr)
+	return finishProgram(insts, code, base, counter, workers, tr)
 }
 
 // finishProgram runs everything downstream of the raw decode — the decoded-
 // instruction cycle charge and validation passes 2 and 3 — shared between
 // DecodeProgramTraced above and StreamDecoder.Finish, so both produce
 // identical Programs, rejections, and charges by construction.
-func finishProgram(insts []x86.Inst, base, size uint64, counter *cycles.Counter, workers int, tr *obs.Trace) (*Program, error) {
-	p := &Program{Insts: insts, Base: base, End: base + size}
+func finishProgram(insts []x86.Inst, code []byte, base uint64, counter *cycles.Counter, workers int, tr *obs.Trace) (*Program, error) {
+	p := &Program{Insts: insts, Code: code, Base: base, End: base + uint64(len(code))}
 	if counter != nil {
 		counter.Charge(cycles.PhaseDisasm, cycles.UnitDecodedInst, uint64(len(p.Insts)))
 	}
@@ -149,11 +170,21 @@ func finishProgram(insts []x86.Inst, base, size uint64, counter *cycles.Counter,
 	}
 
 	// Pass 3: control-transfer targets. Targets outside the region (e.g.
-	// into a runtime the enclave doesn't have) are invalid too.
+	// into a runtime the enclave doesn't have) are invalid too. A bitmap
+	// of instruction starts answers each target in O(1).
 	sp = tr.StartSpan("disasm:branch-check")
+	starts := make([]uint64, (len(code)+63)/64)
+	for k := range p.Insts {
+		off := p.Insts[k].Addr - base
+		starts[off/64] |= 1 << (off % 64)
+	}
 	i = firstIndex(len(p.Insts), workers, func(i int) bool {
 		tgt, ok := p.Insts[i].BranchTarget()
-		return ok && (!p.Contains(tgt) || !p.IsInstStart(tgt))
+		if !ok {
+			return false
+		}
+		off := tgt - base
+		return !p.Contains(tgt) || starts[off/64]&(1<<(off%64)) == 0
 	})
 	sp.End()
 	if i >= 0 {
@@ -189,17 +220,6 @@ type chunkDecode struct {
 	errOff int   // offset of the failure
 }
 
-// chunkInstPool recycles the per-chunk speculative decode buffers across
-// provisioning sessions. Safe because seam reconciliation copies adopted
-// instruction values into the merged slice — no chunk backing array
-// outlives decodeSharded.
-var chunkInstPool = sync.Pool{
-	New: func() any {
-		s := make([]x86.Inst, 0, 1024)
-		return &s
-	},
-}
-
 // decodeSharded decodes code into its instruction sequence. With one
 // worker it is the plain sequential loop; with more, chunks are decoded
 // speculatively in parallel and reconciled in address order.
@@ -211,15 +231,6 @@ func decodeSharded(code []byte, base uint64, workers int) ([]x86.Inst, error) {
 	chunkSize := (len(code) + workers - 1) / workers
 	numChunks := (len(code) + chunkSize - 1) / chunkSize
 	chunks := make([]chunkDecode, numChunks)
-	defer func() {
-		for k := range chunks {
-			if chunks[k].insts == nil {
-				continue
-			}
-			s := chunks[k].insts[:0]
-			chunkInstPool.Put(&s)
-		}
-	}()
 	var wg sync.WaitGroup
 	for k := 0; k < numChunks; k++ {
 		wg.Add(1)
@@ -230,7 +241,7 @@ func decodeSharded(code []byte, base uint64, workers int) ([]x86.Inst, error) {
 			if end > len(code) {
 				end = len(code)
 			}
-			decodeChunk(&chunks[k], code, base, start, end)
+			decodeChunk(&chunks[k], code, base, start, end, len(code))
 		}(k)
 	}
 	wg.Wait()
@@ -243,21 +254,39 @@ func decodeSharded(code []byte, base uint64, workers int) ([]x86.Inst, error) {
 // result depends only on code[start : min(end+14, len(code))] — an
 // instruction is at most 15 bytes, so the last decode started before end
 // never reads further — which is what lets the streaming decoder launch a
-// chunk before the whole region has arrived.
-func decodeChunk(c *chunkDecode, code []byte, base uint64, start, end int) {
-	c.insts = (*chunkInstPool.Get().(*[]x86.Inst))[:0]
+// chunk before the whole region has arrived. Chunk 0 reserves room for the
+// whole size-byte region: its slice becomes the merged program.
+func decodeChunk(c *chunkDecode, code []byte, base uint64, start, end, size int) {
+	n := end - start
+	if start == 0 {
+		n = size
+	}
+	insts := make([]x86.Inst, 0, presize(n))
 	off := start
 	for off < end {
-		addr := base + uint64(off)
-		in, err := x86.Decode(code[off:], addr)
-		if err != nil {
+		var in *x86.Inst
+		insts, in = grow1(insts)
+		if err := x86.DecodeInto(in, code[off:], base+uint64(off)); err != nil {
+			insts = insts[:len(insts)-1]
 			c.err, c.errOff = err, off
 			break
 		}
-		c.insts = append(c.insts, in)
-		off += in.Len
+		off += int(in.Len)
 	}
-	c.spill = off
+	c.insts, c.spill = insts, off
+}
+
+// presize is the record capacity reserved for n code bytes. Synthetic-
+// toolchain instructions average ~4.6 bytes, so this usually avoids every
+// regrow.
+func presize(n int) int { return n/4 + 1 }
+
+// grow1 extends insts by one record, in place when capacity allows, and
+// returns the new record for x86.DecodeInto to fill.
+func grow1(insts []x86.Inst) ([]x86.Inst, *x86.Inst) {
+	insts = slices.Grow(insts, 1)
+	insts = insts[:len(insts)+1]
+	return insts, &insts[len(insts)-1]
 }
 
 // mergeChunks performs seam reconciliation: walk the region in address
@@ -268,32 +297,32 @@ func decodeChunk(c *chunkDecode, code []byte, base uint64, start, end int) {
 // serially and the test repeats. Chunk 0 always starts aligned, so the
 // prefix is adopted immediately.
 func mergeChunks(code []byte, base uint64, chunks []chunkDecode, chunkSize int) ([]x86.Inst, error) {
-	// The merged slice is presized from the speculative totals: the true
-	// sequence has at most a handful more instructions than the chunks'
-	// sum (seam re-decodes), so one allocation nearly always suffices.
-	var est int
-	for k := range chunks {
-		est += len(chunks[k].insts)
-	}
-	insts := make([]x86.Inst, 0, est)
+	var insts []x86.Inst
 	pos := 0
 	for pos < len(code) {
 		c := &chunks[pos/chunkSize]
 		if i, ok := seekChunk(c, base+uint64(pos)); ok {
-			insts = append(insts, c.insts[i:]...)
+			if len(insts) == 0 {
+				// Chunk 0, adopted in place: it reserved room for the
+				// whole program, so the later chunks append without a
+				// regrow.
+				insts = c.insts[i:]
+			} else {
+				insts = append(insts, c.insts[i:]...)
+			}
 			if c.err != nil {
 				return nil, undecodable(base+uint64(c.errOff), c.err)
 			}
 			pos = c.spill
 			continue
 		}
+		var in *x86.Inst
+		insts, in = grow1(insts)
 		addr := base + uint64(pos)
-		in, err := x86.Decode(code[pos:], addr)
-		if err != nil {
+		if err := x86.DecodeInto(in, code[pos:], addr); err != nil {
 			return nil, undecodable(addr, err)
 		}
-		insts = append(insts, in)
-		pos += in.Len
+		pos += int(in.Len)
 	}
 	return insts, nil
 }
@@ -310,18 +339,16 @@ func seekChunk(c *chunkDecode, addr uint64) (int, bool) {
 
 // decodeRange is the sequential decode loop over code[start:end).
 func decodeRange(code []byte, base uint64, start, end int) ([]x86.Inst, error) {
-	// Synthetic-toolchain instructions average ~4 bytes, so this presize
-	// usually avoids every append regrow.
-	insts := make([]x86.Inst, 0, (end-start)/4+1)
+	insts := make([]x86.Inst, 0, presize(end-start))
 	off := start
 	for off < end {
+		var in *x86.Inst
+		insts, in = grow1(insts)
 		addr := base + uint64(off)
-		in, err := x86.Decode(code[off:], addr)
-		if err != nil {
+		if err := x86.DecodeInto(in, code[off:], addr); err != nil {
 			return nil, undecodable(addr, err)
 		}
-		insts = append(insts, in)
-		off += in.Len
+		off += int(in.Len)
 	}
 	return insts, nil
 }

@@ -107,7 +107,7 @@ func (d *StreamDecoder) launch() {
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			decodeChunk(&d.chunks[k], window, d.base, start, end)
+			decodeChunk(&d.chunks[k], window, d.base, start, end, d.size)
 		}()
 	}
 }
@@ -142,39 +142,23 @@ func (d *StreamDecoder) Finish(counter *cycles.Counter, tr *obs.Trace) (*Program
 		d.launch() // zero-byte regions aside, all chunks are launchable now
 		d.wg.Wait()
 		insts, err = mergeChunks(d.buf, d.base, d.chunks, d.chunkSize)
-		d.release()
 	}
 	sp.End()
 	d.released = true
 	if err != nil {
 		return nil, err
 	}
-	return finishProgram(insts, d.base, uint64(d.size), counter, d.workers, tr)
+	return finishProgram(insts, d.buf, d.base, counter, d.workers, tr)
 }
 
 // Abandon discards the decode — the streaming receive failed, or the
 // provisioning pipeline could not adopt it — waiting out any in-flight
-// chunk goroutines and returning their buffers to the pool. Safe to call
-// more than once and after Finish.
+// chunk goroutines. Safe to call more than once and after Finish.
 func (d *StreamDecoder) Abandon() {
 	if d.released {
 		return
 	}
 	d.released = true
 	d.wg.Wait()
-	d.release()
 	d.buf = nil
-}
-
-// release hands the chunks' speculative decode buffers back to the shared
-// pool. Callers must have waited out the chunk goroutines first.
-func (d *StreamDecoder) release() {
-	for k := range d.chunks {
-		if d.chunks[k].insts == nil {
-			continue
-		}
-		s := d.chunks[k].insts[:0]
-		d.chunks[k].insts = nil
-		chunkInstPool.Put(&s)
-	}
 }

@@ -266,26 +266,26 @@ func (m *Module) checkGuard(ctx *policy.Context, si int, slot int64) (reportTgt 
 		return fail("missing shadow compare")
 	}
 	cmp := &p.Insts[cmpi]
-	if cmp.Op != x86.OpCmp || cmp.NArgs != 2 ||
-		cmp.Args[0].Kind != x86.KindMem || cmp.Args[0].Width != 1 ||
-		cmp.Args[1].Kind != x86.KindImm || cmp.Args[1].Imm != 0 {
+	if cmp.Op != x86.OpCmp || cmp.NArgs() != 2 ||
+		cmp.Arg(0).Kind != x86.KindMem || cmp.Arg(0).Width != 1 ||
+		cmp.Arg(1).Kind != x86.KindImm || cmp.Arg(1).Imm != 0 {
 		return fail("shadow compare malformed")
 	}
-	shadowReg := cmp.Args[0].Mem.Base
+	shadowReg := cmp.Arg(0).Mem.Base
 
 	// add S, R.
 	ai := prev(cmpi)
 	ctx.ChargePattern(2)
-	if ai < 0 || p.Insts[ai].Op != x86.OpAdd || !p.Insts[ai].Args[0].IsReg(shadowReg) ||
-		p.Insts[ai].Args[1].Kind != x86.KindReg {
+	if ai < 0 || p.Insts[ai].Op != x86.OpAdd || !p.Insts[ai].Arg(0).IsReg(shadowReg) ||
+		p.Insts[ai].Arg(1).Kind != x86.KindReg {
 		return fail("missing shadow rebase")
 	}
-	baseReg := p.Insts[ai].Args[1].Reg
+	baseReg := p.Insts[ai].Arg(1).Reg
 
 	// lea <shadow>(%rip), S.
 	li := prev(ai)
 	ctx.ChargePattern(2)
-	if li < 0 || p.Insts[li].Op != x86.OpLea || !p.Insts[li].Args[0].IsReg(baseReg) {
+	if li < 0 || p.Insts[li].Op != x86.OpLea || !p.Insts[li].Arg(0).IsReg(baseReg) {
 		return fail("missing shadow base load")
 	}
 	if _, ok := p.Insts[li].RIPTarget(); !ok {
@@ -295,7 +295,7 @@ func (m *Module) checkGuard(ctx *policy.Context, si int, slot int64) (reportTgt 
 	// and $(size-1), R — the mask keeping the index inside the shadow.
 	ni := prev(li)
 	ctx.ChargePattern(2)
-	if ni < 0 || p.Insts[ni].Op != x86.OpAnd || !p.Insts[ni].Args[0].IsReg(shadowReg) {
+	if ni < 0 || p.Insts[ni].Op != x86.OpAnd || !p.Insts[ni].Arg(0).IsReg(shadowReg) {
 		return fail("missing index mask")
 	}
 	mask := uint64(p.Insts[ni].Imm)
@@ -306,7 +306,7 @@ func (m *Module) checkGuard(ctx *policy.Context, si int, slot int64) (reportTgt 
 	// shr $3, R — ASan's 8-bytes-per-shadow-byte scaling.
 	sh := prev(ni)
 	ctx.ChargePattern(2)
-	if sh < 0 || p.Insts[sh].Op != x86.OpShr || !p.Insts[sh].Args[0].IsReg(shadowReg) ||
+	if sh < 0 || p.Insts[sh].Op != x86.OpShr || !p.Insts[sh].Arg(0).IsReg(shadowReg) ||
 		p.Insts[sh].Imm != 3 {
 		return fail("missing shadow scaling")
 	}
@@ -314,10 +314,10 @@ func (m *Module) checkGuard(ctx *policy.Context, si int, slot int64) (reportTgt 
 	// lea slot(%rsp), R — the guarded address must be the stored one.
 	le := prev(sh)
 	ctx.ChargePattern(2)
-	if le < 0 || p.Insts[le].Op != x86.OpLea || !p.Insts[le].Args[0].IsReg(shadowReg) {
+	if le < 0 || p.Insts[le].Op != x86.OpLea || !p.Insts[le].Arg(0).IsReg(shadowReg) {
 		return fail("missing address computation")
 	}
-	leaMem := p.Insts[le].Args[1].Mem
+	leaMem := p.Insts[le].Arg(1).Mem
 	if leaMem.Base != x86.RegSP || leaMem.Disp != slot {
 		return fail("guard checks a different address than the store")
 	}
@@ -328,10 +328,10 @@ func (m *Module) checkGuard(ctx *policy.Context, si int, slot int64) (reportTgt 
 
 // frameStore matches "mov REG, disp(%rsp)" and returns the slot.
 func frameStore(in *x86.Inst) (int64, bool) {
-	if in.Op != x86.OpMov || in.NArgs != 2 {
+	if in.Op != x86.OpMov || in.NArgs() != 2 {
 		return 0, false
 	}
-	dst, src := in.Args[0], in.Args[1]
+	dst, src := in.Arg(0), in.Arg(1)
 	if src.Kind != x86.KindReg || dst.Kind != x86.KindMem {
 		return 0, false
 	}

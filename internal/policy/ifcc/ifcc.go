@@ -287,10 +287,10 @@ func (m *Module) findJumpTable(ctx *policy.Context) (*table, error) {
 func (m *Module) checkCallSite(ctx *policy.Context, ci int, tbl *table) error {
 	p := ctx.Program
 	call := &p.Insts[ci]
-	if call.NArgs != 1 || call.Args[0].Kind != x86.KindReg {
+	if call.NArgs() != 1 || call.Arg(0).Kind != x86.KindReg {
 		return m.siteViolation(call, "indirect call through memory cannot carry an IFCC guard")
 	}
-	ptrReg := call.Args[0].Reg
+	ptrReg := call.Arg(0).Reg
 
 	// Walk backwards over the guard, skipping NOPs.
 	prev := func(i int) int {
@@ -305,17 +305,17 @@ func (m *Module) checkCallSite(ctx *policy.Context, ci int, tbl *table) error {
 	// add %rax, %rcx (dst = ptrReg, src = base register).
 	ai := prev(ci)
 	ctx.ChargePattern(2)
-	if ai < 0 || p.Insts[ai].Op != x86.OpAdd || p.Insts[ai].NArgs != 2 ||
-		!p.Insts[ai].Args[0].IsReg(ptrReg) || p.Insts[ai].Args[1].Kind != x86.KindReg {
+	if ai < 0 || p.Insts[ai].Op != x86.OpAdd || p.Insts[ai].NArgs() != 2 ||
+		!p.Insts[ai].Arg(0).IsReg(ptrReg) || p.Insts[ai].Arg(1).Kind != x86.KindReg {
 		return m.siteViolation(call, "missing add step of IFCC guard")
 	}
-	baseReg := p.Insts[ai].Args[1].Reg
+	baseReg := p.Insts[ai].Arg(1).Reg
 
 	// and $mask, %rcx.
 	ni := prev(ai)
 	ctx.ChargePattern(2)
-	if ni < 0 || p.Insts[ni].Op != x86.OpAnd || p.Insts[ni].NArgs != 2 ||
-		!p.Insts[ni].Args[0].IsReg(ptrReg) {
+	if ni < 0 || p.Insts[ni].Op != x86.OpAnd || p.Insts[ni].NArgs() != 2 ||
+		!p.Insts[ni].Arg(0).IsReg(ptrReg) {
 		return m.siteViolation(call, "missing and-mask step of IFCC guard")
 	}
 	mask := uint64(p.Insts[ni].Imm)
@@ -330,15 +330,15 @@ func (m *Module) checkCallSite(ctx *policy.Context, ci int, tbl *table) error {
 	// sub %eax, %ecx (32-bit, dst = ptrReg, src = baseReg).
 	si := prev(ni)
 	ctx.ChargePattern(2)
-	if si < 0 || p.Insts[si].Op != x86.OpSub || p.Insts[si].NArgs != 2 ||
-		!p.Insts[si].Args[0].IsReg(ptrReg) || !p.Insts[si].Args[1].IsReg(baseReg) {
+	if si < 0 || p.Insts[si].Op != x86.OpSub || p.Insts[si].NArgs() != 2 ||
+		!p.Insts[si].Arg(0).IsReg(ptrReg) || !p.Insts[si].Arg(1).IsReg(baseReg) {
 		return m.siteViolation(call, "missing sub step of IFCC guard")
 	}
 
 	// lea table(%rip), %rax.
 	li := prev(si)
 	ctx.ChargePattern(2)
-	if li < 0 || p.Insts[li].Op != x86.OpLea || !p.Insts[li].Args[0].IsReg(baseReg) {
+	if li < 0 || p.Insts[li].Op != x86.OpLea || !p.Insts[li].Arg(0).IsReg(baseReg) {
 		return m.siteViolation(call, "missing lea step of IFCC guard")
 	}
 	leaTgt, ok := p.Insts[li].RIPTarget()

@@ -20,7 +20,6 @@ package liblink
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"sort"
 	"sync/atomic"
 
@@ -95,14 +94,12 @@ type checker struct {
 
 // CheckSpan scans instructions [lo, hi) for direct calls and verifies each
 // resolvable target against the approved-library database. Its charges
-// are tallied and flushed on return; one hasher serves every call site of
-// the span (spans run concurrently, so it is not the checker's).
+// are tallied and flushed on return.
 func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 	var t policy.Tally
 	defer t.Flush(ctx)
 	m := c.m
 	p := ctx.Program
-	h := siteHasher{h: sha256.New()}
 	for i := lo; i < hi; i++ {
 		t.Scan++
 		in := &p.Insts[i]
@@ -134,7 +131,7 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 		} else {
 			var n uint64
 			var err error
-			got, n, err = m.hashFunction(ctx, &t, &h, target)
+			got, n, err = m.hashFunction(ctx, &t, target)
 			if err != nil {
 				return err
 			}
@@ -184,20 +181,13 @@ func digestFor(ctx *policy.Context, addr uint64) ([sha256.Size]byte, bool) {
 	return d, ok
 }
 
-// siteHasher is a reusable SHA-256 state with its own output buffer, so
-// hashing a call site's target allocates nothing.
-type siteHasher struct {
-	h   hash.Hash
-	sum []byte
-}
-
 // hashFunction hashes the instructions of the function starting at addr,
 // stopping at the first instruction that begins another function (paper
 // §5: "the policy module sequentially reads instructions starting from the
 // computed target address and stops when it comes across an instruction
 // that is at the beginning of another function"). It returns the hash and
 // the number of bytes hashed; its symbol lookups go to t.
-func (m *Module) hashFunction(ctx *policy.Context, t *policy.Tally, h *siteHasher, addr uint64) ([sha256.Size]byte, uint64, error) {
+func (m *Module) hashFunction(ctx *policy.Context, t *policy.Tally, addr uint64) ([sha256.Size]byte, uint64, error) {
 	p := ctx.Program
 	idx, ok := p.InstAt(addr)
 	if !ok {
@@ -206,23 +196,17 @@ func (m *Module) hashFunction(ctx *policy.Context, t *policy.Tally, h *siteHashe
 			Reason: "call target is not an instruction boundary",
 		}
 	}
-	h.h.Reset()
-	var n uint64
-	for i := idx; i < len(p.Insts); i++ {
-		in := &p.Insts[i]
-		if i > idx {
-			// The symbol hash table tells us whether this instruction
-			// starts another function.
-			t.Lookup++
-			if ctx.Symbols.IsFuncStart(in.Addr) {
-				break
-			}
+	end := idx + 1
+	for ; end < len(p.Insts); end++ {
+		// The symbol hash table tells us whether this instruction
+		// starts another function.
+		t.Lookup++
+		if ctx.Symbols.IsFuncStart(p.Insts[end].Addr) {
+			break
 		}
-		h.h.Write(in.Raw)
-		n += uint64(len(in.Raw))
 	}
-	var sum [sha256.Size]byte
-	h.sum = h.h.Sum(h.sum[:0])
-	copy(sum[:], h.sum)
-	return sum, n, nil
+	// Instructions tile the function, so hashing its bytes in one write
+	// equals the paper's instruction-by-instruction read.
+	body := p.Span(idx, end)
+	return sha256.Sum256(body), uint64(len(body)), nil
 }

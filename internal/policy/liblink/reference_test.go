@@ -108,8 +108,8 @@ func refHashFunction(m *Module, ctx *policy.Context, addr uint64) ([sha256.Size]
 				break
 			}
 		}
-		h.Write(in.Raw)
-		n += uint64(len(in.Raw))
+		h.Write(p.Raw(i))
+		n += uint64(in.Len)
 	}
 	var sum [sha256.Size]byte
 	copy(sum[:], h.Sum(nil))

@@ -57,23 +57,18 @@ func NewSession(cache *Cache, p *nacl.Program, tab *symtab.Table, counter *cycle
 			// (liblink) fall back to the cold path and report it there.
 			continue
 		}
-		h := sha256.New()
-		var n uint64
-		end := start
-		for i := start; i < len(p.Insts); i++ {
-			in := &p.Insts[i]
-			if i > start {
-				lookups++
-				if tab.IsFuncStart(in.Addr) {
-					break
-				}
+		end := start + 1
+		for ; end < len(p.Insts); end++ {
+			lookups++
+			if tab.IsFuncStart(p.Insts[end].Addr) {
+				break
 			}
-			h.Write(in.Raw)
-			n += uint64(len(in.Raw))
-			end = i + 1
 		}
-		var d [sha256.Size]byte
-		h.Sum(d[:0])
+		// Instructions tile the function, so one write of its bytes
+		// hashes exactly what a per-instruction walk would.
+		body := p.Span(start, end)
+		n := uint64(len(body))
+		d := sha256.Sum256(body)
 		s.byAddr[fn.Addr] = len(s.spans)
 		s.spans = append(s.spans, FuncSpan{Addr: fn.Addr, StartIdx: start, EndIdx: end, Digest: d, Bytes: n})
 		hashes++

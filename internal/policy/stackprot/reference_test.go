@@ -297,11 +297,11 @@ func (m *refModule) verifyChain(ctx *policy.Context, insts []x86.Inst, j int, cm
 
 // refCanaryCompare matches "cmp slot(%rsp), REG" and returns REG.
 func refCanaryCompare(in *x86.Inst, slot int64) (x86.Reg, bool) {
-	if in.Op != x86.OpCmp || in.NArgs != 2 {
+	if in.Op != x86.OpCmp || in.NArgs() != 2 {
 		return 0, false
 	}
-	if in.Args[0].Kind != x86.KindReg || !in.Args[1].IsMemBaseDisp(x86.RegSP, slot) {
+	if in.Arg(0).Kind != x86.KindReg || !in.Arg(1).IsMemBaseDisp(x86.RegSP, slot) {
 		return 0, false
 	}
-	return in.Args[0].Reg, true
+	return in.Arg(0).Reg, true
 }

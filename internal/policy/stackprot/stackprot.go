@@ -414,10 +414,10 @@ func (m *Module) verifyChain(ctx *policy.Context, t *policy.Tally, insts []x86.I
 // stackStore matches "mov REG, disp(%rsp)" and returns the slot and source
 // register.
 func stackStore(in *x86.Inst) (slot int64, src x86.Reg, ok bool) {
-	if in.Op != x86.OpMov || in.NArgs != 2 {
+	if in.Op != x86.OpMov || in.NArgs() != 2 {
 		return 0, 0, false
 	}
-	dst, s := in.Args[0], in.Args[1]
+	dst, s := in.Arg(0), in.Arg(1)
 	if s.Kind != x86.KindReg || dst.Kind != x86.KindMem {
 		return 0, 0, false
 	}
@@ -430,19 +430,19 @@ func stackStore(in *x86.Inst) (slot int64, src x86.Reg, ok bool) {
 
 // canaryLoad matches "mov %fs:0x28, REG".
 func canaryLoad(in *x86.Inst, reg x86.Reg) bool {
-	return in.Op == x86.OpMov && in.NArgs == 2 &&
-		in.Args[0].IsReg(reg) && in.Args[1].IsSegDisp(x86.SegFS, CanaryTLSOffset)
+	return in.Op == x86.OpMov && in.NArgs() == 2 &&
+		in.Arg(0).IsReg(reg) && in.Arg(1).IsSegDisp(x86.SegFS, CanaryTLSOffset)
 }
 
 // canaryCompare matches "cmp slot(%rsp), REG" and returns the slot and
 // REG.
 func canaryCompare(in *x86.Inst) (slot int64, reg x86.Reg, ok bool) {
-	if in.Op != x86.OpCmp || in.NArgs != 2 || in.Args[0].Kind != x86.KindReg {
+	if in.Op != x86.OpCmp || in.NArgs() != 2 || in.Arg(0).Kind != x86.KindReg {
 		return 0, 0, false
 	}
-	mem := in.Args[1]
+	mem := in.Arg(1)
 	if !mem.IsMemBaseDisp(x86.RegSP, mem.Mem.Disp) {
 		return 0, 0, false
 	}
-	return mem.Mem.Disp, in.Args[0].Reg, true
+	return mem.Mem.Disp, in.Arg(0).Reg, true
 }

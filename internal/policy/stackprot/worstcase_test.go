@@ -71,7 +71,7 @@ func buildManySlots(tb testing.TB, k int) *manySlots {
 	tab.Add(symtab.Entry{Name: "f", Addr: worstBase, Size: uint64(failOff)})
 	tab.Add(symtab.Entry{Name: FailFunc, Addr: worstBase + uint64(failOff), Size: 1})
 	ms.ctx = &policy.Context{
-		Program: &nacl.Program{Insts: insts, Base: worstBase, End: worstBase + uint64(len(code))},
+		Program: &nacl.Program{Insts: insts, Code: code, Base: worstBase, End: worstBase + uint64(len(code))},
 		Symbols: tab,
 	}
 	return ms

@@ -549,7 +549,7 @@ func muslInstCount(mb *muslBuild) int {
 			// one unit to keep counts sane if it ever does.
 			return n + 1
 		}
-		off += in.Len
+		off += int(in.Len)
 		n++
 	}
 	return n

@@ -193,10 +193,10 @@ func TestStackProtectorInstrumentation(t *testing.T) {
 	foundLoad, foundCmp, foundCall := false, false, false
 	failAddr, _ := tab.AddrOf("__stack_chk_fail")
 	for _, in := range insts {
-		if in.Op == x86.OpMov && in.NArgs == 2 && in.Args[1].IsSegDisp(x86.SegFS, 0x28) {
+		if in.Op == x86.OpMov && in.NArgs() == 2 && in.Arg(1).IsSegDisp(x86.SegFS, 0x28) {
 			foundLoad = true
 		}
-		if in.Op == x86.OpCmp && in.NArgs == 2 && in.Args[1].IsMemBaseDisp(x86.RegSP, 0) {
+		if in.Op == x86.OpCmp && in.NArgs() == 2 && in.Arg(1).IsMemBaseDisp(x86.RegSP, 0) {
 			foundCmp = true
 		}
 		if in.IsDirectCall() {

@@ -110,7 +110,7 @@ func TestKnownEncodings(t *testing.T) {
 			if in.Op != tt.op {
 				t.Errorf("op = %v, want %v", in.Op, tt.op)
 			}
-			if in.Len != tt.len {
+			if int(in.Len) != tt.len {
 				t.Errorf("len = %d, want %d", in.Len, tt.len)
 			}
 		})
@@ -135,10 +135,10 @@ func TestEncodingsLayoutSums(t *testing.T) {
 			t.Fatalf("Decode(% x): %v", code, err)
 		}
 		sum := in.NumPrefix + in.NumOpcode + in.NumDisp + in.NumImm
-		if in.HasModRM {
+		if in.Has(FlagModRM) {
 			sum++
 		}
-		if in.HasSIB {
+		if in.Has(FlagSIB) {
 			sum++
 		}
 		if sum != in.Len {
@@ -155,7 +155,7 @@ func TestOperandDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !in.Args[0].IsReg(RegAX) || !in.Args[1].IsReg(RegBX) {
+	if !in.Arg(0).IsReg(RegAX) || !in.Arg(1).IsReg(RegBX) {
 		t.Errorf("01 D8: %v", in.String())
 	}
 	// 03 D8: add ebx(reg), eax(rm) → dst=reg=ebx
@@ -163,7 +163,7 @@ func TestOperandDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !in.Args[0].IsReg(RegBX) || !in.Args[1].IsReg(RegAX) {
+	if !in.Arg(0).IsReg(RegBX) || !in.Arg(1).IsReg(RegAX) {
 		t.Errorf("03 D8: %v", in.String())
 	}
 }

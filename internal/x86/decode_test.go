@@ -25,11 +25,11 @@ func TestDecodeStackProtectorPattern(t *testing.T) {
 	if in.Len != 9 {
 		t.Fatalf("Len = %d, want 9", in.Len)
 	}
-	if !in.Args[0].IsReg(RegAX) {
-		t.Errorf("dst = %+v, want %%rax", in.Args[0])
+	if !in.Arg(0).IsReg(RegAX) {
+		t.Errorf("dst = %+v, want %%rax", in.Arg(0))
 	}
-	if !in.Args[1].IsSegDisp(SegFS, 0x28) {
-		t.Errorf("src = %+v, want %%fs:0x28", in.Args[1])
+	if !in.Arg(1).IsSegDisp(SegFS, 0x28) {
+		t.Errorf("src = %+v, want %%fs:0x28", in.Arg(1))
 	}
 	if in.NumPrefix != 2 || in.NumOpcode != 1 || in.NumDisp != 4 {
 		t.Errorf("layout = (%d,%d,%d), want (2,1,4)", in.NumPrefix, in.NumOpcode, in.NumDisp)
@@ -42,11 +42,11 @@ func TestDecodeCanaryStore(t *testing.T) {
 	if in.Op != OpMov || in.Len != 4 {
 		t.Fatalf("got %v len %d", in.Op, in.Len)
 	}
-	if !in.Args[0].IsMemBaseDisp(RegSP, 0) {
-		t.Errorf("dst = %+v, want (%%rsp)", in.Args[0])
+	if !in.Arg(0).IsMemBaseDisp(RegSP, 0) {
+		t.Errorf("dst = %+v, want (%%rsp)", in.Arg(0))
 	}
-	if !in.Args[1].IsReg(RegAX) {
-		t.Errorf("src = %+v, want %%rax", in.Args[1])
+	if !in.Arg(1).IsReg(RegAX) {
+		t.Errorf("src = %+v, want %%rax", in.Arg(1))
 	}
 }
 
@@ -56,8 +56,8 @@ func TestDecodeCanaryCompare(t *testing.T) {
 	if in.Op != OpCmp {
 		t.Fatalf("Op = %v, want cmp", in.Op)
 	}
-	if !in.Args[0].IsReg(RegAX) || !in.Args[1].IsMemBaseDisp(RegSP, 0) {
-		t.Errorf("args = %+v", in.Args)
+	if !in.Arg(0).IsReg(RegAX) || !in.Arg(1).IsMemBaseDisp(RegSP, 0) {
+		t.Errorf("args = %s", in.String())
 	}
 }
 
@@ -84,7 +84,7 @@ func TestDecodeIFCCPattern(t *testing.T) {
 	}
 
 	lea := insts[0]
-	if lea.Op != OpLea || !lea.Args[0].IsReg(RegAX) {
+	if lea.Op != OpLea || !lea.Arg(0).IsReg(RegAX) {
 		t.Errorf("inst 0 = %v, want lea → rax", lea.String())
 	}
 	if tgt, ok := lea.RIPTarget(); !ok || tgt != 0x1b459+7+0x85c70 {
@@ -92,25 +92,25 @@ func TestDecodeIFCCPattern(t *testing.T) {
 	}
 
 	sub := insts[1]
-	if sub.Op != OpSub || !sub.Args[0].IsReg(RegCX) || !sub.Args[1].IsReg(RegAX) {
+	if sub.Op != OpSub || !sub.Arg(0).IsReg(RegCX) || !sub.Arg(1).IsReg(RegAX) {
 		t.Errorf("inst 1 = %v, want sub %%eax, %%ecx", sub.String())
 	}
-	if sub.Args[0].Width != 4 {
-		t.Errorf("sub width = %d, want 4", sub.Args[0].Width)
+	if sub.Arg(0).Width != 4 {
+		t.Errorf("sub width = %d, want 4", sub.Arg(0).Width)
 	}
 
 	and := insts[2]
-	if and.Op != OpAnd || !and.Args[0].IsReg(RegCX) || and.Args[1].Imm != 0x1ff8 {
+	if and.Op != OpAnd || !and.Arg(0).IsReg(RegCX) || and.Arg(1).Imm != 0x1ff8 {
 		t.Errorf("inst 2 = %v, want and $0x1ff8, %%rcx", and.String())
 	}
 
 	add := insts[3]
-	if add.Op != OpAdd || !add.Args[0].IsReg(RegCX) || !add.Args[1].IsReg(RegAX) {
+	if add.Op != OpAdd || !add.Arg(0).IsReg(RegCX) || !add.Arg(1).IsReg(RegAX) {
 		t.Errorf("inst 3 = %v, want add %%rax, %%rcx", add.String())
 	}
 
 	call := insts[4]
-	if !call.IsIndirectCall() || !call.Args[0].IsReg(RegCX) {
+	if !call.IsIndirectCall() || !call.Arg(0).IsReg(RegCX) {
 		t.Errorf("inst 4 = %v, want callq *%%rcx", call.String())
 	}
 }
@@ -193,29 +193,29 @@ func TestDecodeTooLong(t *testing.T) {
 func TestDecodeRexRegisters(t *testing.T) {
 	// mov %r8, %r15 = 4D 89 C7
 	in := mustDecode(t, []byte{0x4D, 0x89, 0xC7}, 0)
-	if !in.Args[0].IsReg(RegR15) || !in.Args[1].IsReg(RegR8) {
+	if !in.Arg(0).IsReg(RegR15) || !in.Arg(1).IsReg(RegR8) {
 		t.Errorf("args = %v", in.String())
 	}
 }
 
 func TestDecodePushPop(t *testing.T) {
 	in := mustDecode(t, []byte{0x55}, 0) // push %rbp
-	if in.Op != OpPush || !in.Args[0].IsReg(RegBP) {
+	if in.Op != OpPush || !in.Arg(0).IsReg(RegBP) {
 		t.Errorf("got %v", in.String())
 	}
 	in = mustDecode(t, []byte{0x41, 0x54}, 0) // push %r12
-	if in.Op != OpPush || !in.Args[0].IsReg(RegR12) {
+	if in.Op != OpPush || !in.Arg(0).IsReg(RegR12) {
 		t.Errorf("got %v", in.String())
 	}
-	if in.Args[0].Width != 8 {
-		t.Errorf("push width = %d, want 8 (64-bit default)", in.Args[0].Width)
+	if in.Arg(0).Width != 8 {
+		t.Errorf("push width = %d, want 8 (64-bit default)", in.Arg(0).Width)
 	}
 }
 
 func TestDecodeGroup5(t *testing.T) {
 	// call *(%rax) — indirect through memory (FF 10).
 	in := mustDecode(t, []byte{0xFF, 0x10}, 0)
-	if !in.IsIndirectCall() || in.Args[0].Kind != KindMem {
+	if !in.IsIndirectCall() || in.Arg(0).Kind != KindMem {
 		t.Errorf("got %v", in.String())
 	}
 	// jmp *%rdx (FF E2)
@@ -250,7 +250,7 @@ func TestDecodeRIPRelative(t *testing.T) {
 func TestDecodeSIBScaledIndex(t *testing.T) {
 	// mov (%rax,%rcx,8), %rdx = 48 8B 14 C8
 	in := mustDecode(t, []byte{0x48, 0x8B, 0x14, 0xC8}, 0)
-	m := in.Args[1].Mem
+	m := in.Arg(1).Mem
 	if m.Base != RegAX || m.Index != RegCX || m.Scale != 8 {
 		t.Errorf("mem = %+v", m)
 	}
@@ -259,13 +259,13 @@ func TestDecodeSIBScaledIndex(t *testing.T) {
 func TestDecodeHigh8Registers(t *testing.T) {
 	// mov %ah, %bl without REX = 88 E3
 	in := mustDecode(t, []byte{0x88, 0xE3}, 0)
-	if !in.Args[1].High8 {
-		t.Errorf("src should be AH (High8): %+v", in.Args[1])
+	if !in.Arg(1).High8 {
+		t.Errorf("src should be AH (High8): %+v", in.Arg(1))
 	}
 	// With REX, the same bits mean %spl: 40 88 E3
 	in = mustDecode(t, []byte{0x40, 0x88, 0xE3}, 0)
-	if in.Args[1].High8 {
-		t.Errorf("src should be SPL, not AH: %+v", in.Args[1])
+	if in.Arg(1).High8 {
+		t.Errorf("src should be SPL, not AH: %+v", in.Arg(1))
 	}
 }
 
@@ -281,7 +281,7 @@ func TestDecodeNopFamily(t *testing.T) {
 		if in.Op != OpNop {
 			t.Errorf("nop(%d): op = %v", n, in.Op)
 		}
-		if in.Len != n {
+		if int(in.Len) != n {
 			t.Errorf("nop(%d): len = %d", n, in.Len)
 		}
 	}

@@ -50,44 +50,40 @@ var fuzzSeeds = [][]byte{
 	{0x66, 0x67, 0xF2, 0xF3, 0xF0, 0x2E, 0x36, 0x3E, 0x26, 0x64, 0x65, 0x48, 0x90, 0x90, 0x90, 0x90}, // prefix soup past 15 bytes
 }
 
-// instEq compares every semantic field of two decoded instructions —
-// everything except Len, NumPrefix and Raw, which legitimately differ
-// when Encode canonicalizes redundant prefixes away.
+// instEq compares every field of two decoded instructions except Len and
+// NumPrefix, which legitimately differ when Encode canonicalizes
+// redundant prefixes away.
 func instEq(a, b *Inst) bool {
-	return a.Addr == b.Addr && a.Op == b.Op && a.Cond == b.Cond &&
-		a.NumOpcode == b.NumOpcode && a.NumDisp == b.NumDisp && a.NumImm == b.NumImm &&
-		a.REX == b.REX && a.HasModRM == b.HasModRM && a.ModRM == b.ModRM &&
-		a.HasSIB == b.HasSIB && a.SIB == b.SIB &&
-		a.Seg == b.Seg && a.Lock == b.Lock && a.RepF2 == b.RepF2 && a.RepF3 == b.RepF3 &&
-		a.OpSize16 == b.OpSize16 && a.Addr32 == b.Addr32 &&
-		a.Disp == b.Disp && a.Imm == b.Imm && a.Imm2 == b.Imm2 &&
-		a.NArgs == b.NArgs && a.Args == b.Args
+	x, y := *a, *b
+	x.Len, x.NumPrefix, y.Len, y.NumPrefix = 0, 0, 0, 0
+	return x == y
 }
 
 // checkLayout asserts the NaCl layout invariant: the recorded byte-layout
 // fields tile the instruction exactly.
 func checkLayout(t *testing.T, in *Inst, input []byte) {
 	t.Helper()
-	if in.Len <= 0 || in.Len > maxInstLen || in.Len > len(input) {
+	if in.Len == 0 || in.Len > maxInstLen || int(in.Len) > len(input) {
 		t.Fatalf("Len %d out of range for %d input bytes", in.Len, len(input))
 	}
 	sum := in.NumPrefix + in.NumOpcode + in.NumDisp + in.NumImm
-	if in.HasModRM {
+	if in.Has(FlagModRM) {
 		sum++
 	}
-	if in.HasSIB {
+	if in.Has(FlagSIB) {
 		sum++
 	}
 	if sum != in.Len {
-		t.Fatalf("layout sum %d != Len %d for % x", sum, in.Len, in.Raw)
+		t.Fatalf("layout sum %d != Len %d for % x", sum, in.Len, input[:in.Len])
 	}
 }
 
 // FuzzDecode asserts the decoder's trust-boundary properties on arbitrary
-// bytes: it never panics, accepted instructions satisfy the layout
-// invariant, and decode→encode→decode is a fixed point — the re-encoded
-// bytes decode to the identical instruction (modulo prefix
-// canonicalization) and re-encode to the identical bytes.
+// bytes: it agrees with the reference decoder field for field (or rejects
+// with the same error class), it never panics, accepted instructions
+// satisfy the layout invariant, and decode→encode→decode is a fixed point
+// — the re-encoded bytes decode to the identical instruction (modulo
+// prefix canonicalization) and re-encode to the identical bytes.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -95,31 +91,35 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const addr = 0x401000
 		i1, err := Decode(data, addr)
+		if d := diffDecode(&i1, err, data, addr); d != nil {
+			t.Fatal(d)
+		}
 		if err != nil {
 			return // rejection is a valid outcome; panics/hangs are not
 		}
 		checkLayout(t, &i1, data)
+		raw := data[:i1.Len]
 
-		e1, err := Encode(&i1)
+		e1, err := Encode(&i1, raw)
 		if err != nil {
-			t.Fatalf("Encode rejected a decoded instruction %s (% x): %v", i1.String(), i1.Raw, err)
+			t.Fatalf("Encode rejected a decoded instruction %s (% x): %v", i1.String(), raw, err)
 		}
-		if len(e1) > len(i1.Raw) {
-			t.Fatalf("canonical encoding % x longer than accepted raw % x", e1, i1.Raw)
+		if len(e1) > len(raw) {
+			t.Fatalf("canonical encoding % x longer than accepted raw % x", e1, raw)
 		}
 
 		i2, err := Decode(e1, addr)
 		if err != nil {
-			t.Fatalf("re-decode of canonical encoding % x failed: %v (from %s, raw % x)", e1, err, i1.String(), i1.Raw)
+			t.Fatalf("re-decode of canonical encoding % x failed: %v (from %s, raw % x)", e1, err, i1.String(), raw)
 		}
 		if !instEq(&i1, &i2) {
-			t.Fatalf("round-trip mismatch:\n raw % x -> %s\n enc % x -> %s", i1.Raw, i1.String(), e1, i2.String())
+			t.Fatalf("round-trip mismatch:\n raw % x -> %s\n enc % x -> %s", raw, i1.String(), e1, i2.String())
 		}
-		if i2.Len != len(e1) {
+		if int(i2.Len) != len(e1) {
 			t.Fatalf("re-decode consumed %d of %d canonical bytes", i2.Len, len(e1))
 		}
 
-		e2, err := Encode(&i2)
+		e2, err := Encode(&i2, e1)
 		if err != nil || !bytes.Equal(e1, e2) {
 			t.Fatalf("encode not idempotent: % x vs % x (err %v)", e1, e2, err)
 		}

@@ -96,7 +96,7 @@ const (
 	OpOther // any remaining decodable form
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpInvalid: "(invalid)",
 	OpAdd:     "add", OpOr: "or", OpAdc: "adc", OpSbb: "sbb",
 	OpAnd: "and", OpSub: "sub", OpXor: "xor", OpCmp: "cmp",
@@ -122,8 +122,8 @@ var opNames = map[Op]string{
 }
 
 func (op Op) String() string {
-	if s, ok := opNames[op]; ok {
-		return s
+	if op >= 0 && int(op) < len(opNames) && opNames[op] != "" {
+		return opNames[op]
 	}
 	return "op?"
 }

@@ -8,33 +8,29 @@ import "fmt"
 // bytes, ModRM/SIB, displacement and immediates. For input without
 // redundant prefixes Encode(Decode(b)) == b; input carrying duplicate or
 // oddly-ordered prefixes canonicalizes to a shorter equivalent encoding
-// that decodes to the same instruction (modulo Len/NumPrefix/Raw).
+// that decodes to the same instruction (modulo Len/NumPrefix).
+//
+// raw is the instruction's encoded bytes; Encode copies the opcode bytes
+// from it, since the record keeps only the last one.
 //
 // Encode is the inverse half of the decoder's round-trip property and
 // exists for FuzzDecode; it is not an assembler (see Assembler for that).
-func Encode(in *Inst) ([]byte, error) {
+func Encode(in *Inst, raw []byte) ([]byte, error) {
 	if in.NumOpcode < 1 || in.NumOpcode > 3 {
 		return nil, fmt.Errorf("x86: encode: opcode byte count %d out of range", in.NumOpcode)
 	}
-	if in.NumPrefix < 0 || in.NumPrefix+in.NumOpcode > len(in.Raw) {
+	if int(in.NumPrefix)+int(in.NumOpcode) > len(raw) {
 		return nil, fmt.Errorf("x86: encode: layout (%d prefix + %d opcode bytes) exceeds %d raw bytes",
-			in.NumPrefix, in.NumOpcode, len(in.Raw))
+			in.NumPrefix, in.NumOpcode, len(raw))
 	}
 	out := make([]byte, 0, maxInstLen)
-	if in.Lock {
-		out = append(out, 0xF0)
-	}
-	if in.RepF2 {
-		out = append(out, 0xF2)
-	}
-	if in.RepF3 {
-		out = append(out, 0xF3)
-	}
-	if in.OpSize16 {
-		out = append(out, 0x66)
-	}
-	if in.Addr32 {
-		out = append(out, 0x67)
+	for _, p := range [...]struct {
+		f Flags
+		b byte
+	}{{FlagLock, 0xF0}, {FlagRepF2, 0xF2}, {FlagRepF3, 0xF3}, {FlagOpSize16, 0x66}, {FlagAddr32, 0x67}} {
+		if in.Has(p.f) {
+			out = append(out, p.b)
+		}
 	}
 	if in.Seg != SegNone {
 		p, ok := segPrefix[in.Seg]
@@ -49,20 +45,20 @@ func Encode(in *Inst) ([]byte, error) {
 		}
 		out = append(out, in.REX)
 	}
-	out = append(out, in.Raw[in.NumPrefix:in.NumPrefix+in.NumOpcode]...)
-	if in.HasModRM {
+	out = append(out, raw[in.NumPrefix:in.NumPrefix+in.NumOpcode]...)
+	if in.Has(FlagModRM) {
 		out = append(out, in.ModRM)
 	}
-	if in.HasSIB {
+	if in.Has(FlagSIB) {
 		out = append(out, in.SIB)
 	}
-	out = appendLEBytes(out, uint64(in.Disp), in.NumDisp)
+	out = appendLEBytes(out, uint64(in.Disp), int(in.NumDisp))
 	if in.NumImm == 3 {
 		// ENTER's imm16,imm8 pair (the only 3-byte immediate form).
 		out = appendLEBytes(out, uint64(in.Imm), 2)
 		out = appendLEBytes(out, uint64(in.Imm2), 1)
 	} else {
-		out = appendLEBytes(out, uint64(in.Imm), in.NumImm)
+		out = appendLEBytes(out, uint64(in.Imm), int(in.NumImm))
 	}
 	return out, nil
 }

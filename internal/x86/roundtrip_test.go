@@ -26,7 +26,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		dst, src := Reg(r.Intn(16)), Reg(r.Intn(16))
 		a.MovRegReg(dst, src)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpMov || !in.Args[0].IsReg(dst) || !in.Args[1].IsReg(src) {
+			if in.Op != OpMov || !in.Arg(0).IsReg(dst) || !in.Arg(1).IsReg(src) {
 				t.Errorf("mov %v,%v decoded as %v", src, dst, in.String())
 			}
 		}
@@ -35,7 +35,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		imm := int64(r.Uint64())
 		a.MovRegImm64(dst, imm)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpMov || in.Imm != imm || !in.Args[0].IsReg(dst) {
+			if in.Op != OpMov || in.Imm != imm || !in.Arg(0).IsReg(dst) {
 				t.Errorf("movabs decoded as %v imm %#x", in.String(), in.Imm)
 			}
 		}
@@ -43,7 +43,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		dst, src := Reg(r.Intn(16)), Reg(r.Intn(16))
 		a.AddRegReg(dst, src)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpAdd || !in.Args[0].IsReg(dst) || !in.Args[1].IsReg(src) {
+			if in.Op != OpAdd || !in.Arg(0).IsReg(dst) || !in.Arg(1).IsReg(src) {
 				t.Errorf("add decoded as %v", in.String())
 			}
 		}
@@ -52,7 +52,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		imm := int32(r.Int31())
 		a.AndRegImm32(dst, imm)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpAnd || in.Imm != int64(imm) || !in.Args[0].IsReg(dst) {
+			if in.Op != OpAnd || in.Imm != int64(imm) || !in.Arg(0).IsReg(dst) {
 				t.Errorf("and decoded as %v imm %#x want %#x", in.String(), in.Imm, imm)
 			}
 		}
@@ -60,7 +60,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		reg := Reg(r.Intn(16))
 		a.PushReg(reg)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpPush || !in.Args[0].IsReg(reg) {
+			if in.Op != OpPush || !in.Arg(0).IsReg(reg) {
 				t.Errorf("push decoded as %v", in.String())
 			}
 		}
@@ -68,7 +68,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		reg := Reg(r.Intn(16))
 		a.PopReg(reg)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpPop || !in.Args[0].IsReg(reg) {
+			if in.Op != OpPop || !in.Arg(0).IsReg(reg) {
 				t.Errorf("pop decoded as %v", in.String())
 			}
 		}
@@ -78,7 +78,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		disp := int64(int8(r.Intn(256)))
 		a.MovRegMem(dst, Mem{Base: base, Index: RegNone, Disp: disp})
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpMov || !in.Args[0].IsReg(dst) || !in.Args[1].IsMemBaseDisp(base, disp) {
+			if in.Op != OpMov || !in.Arg(0).IsReg(dst) || !in.Arg(1).IsMemBaseDisp(base, disp) {
 				t.Errorf("mov mem decoded as %v, want base %v disp %#x", in.String(), base, disp)
 			}
 		}
@@ -88,7 +88,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		disp := int64(r.Int31())
 		a.MovMemReg(Mem{Base: base, Index: RegNone, Disp: disp}, src)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpMov || !in.Args[0].IsMemBaseDisp(base, disp) || !in.Args[1].IsReg(src) {
+			if in.Op != OpMov || !in.Arg(0).IsMemBaseDisp(base, disp) || !in.Arg(1).IsReg(src) {
 				t.Errorf("mov →mem decoded as %v", in.String())
 			}
 		}
@@ -96,7 +96,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		reg := Reg(r.Intn(16))
 		a.CallReg(reg)
 		return func(t *testing.T, in Inst) {
-			if !in.IsIndirectCall() || !in.Args[0].IsReg(reg) {
+			if !in.IsIndirectCall() || !in.Arg(0).IsReg(reg) {
 				t.Errorf("call* decoded as %v", in.String())
 			}
 		}
@@ -130,7 +130,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		scale := uint8(1 << r.Intn(4))
 		a.LeaMem(dst, Mem{Base: base, Index: idx, Scale: scale, Disp: 0x40})
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpLea || in.Args[1].Mem.Index != idx || in.Args[1].Mem.Scale != scale {
+			if in.Op != OpLea || in.Arg(1).Mem.Index != idx || in.Arg(1).Mem.Scale != scale {
 				t.Errorf("lea SIB decoded as %v (want idx %v scale %d)", in.String(), idx, scale)
 			}
 		}
@@ -138,7 +138,7 @@ func emitRandomInst(a *Assembler, r *rand.Rand) func(t *testing.T, in Inst) {
 		n := 1 + r.Intn(9)
 		a.Nop(n)
 		return func(t *testing.T, in Inst) {
-			if in.Op != OpNop || in.Len != n {
+			if in.Op != OpNop || int(in.Len) != n {
 				t.Errorf("nop(%d) decoded as %v len %d", n, in.Op, in.Len)
 			}
 		}
@@ -192,15 +192,15 @@ func TestQuickDecodeNeverPanics(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		if in.Len <= 0 || in.Len > len(code) || in.Len > 15 {
+		if in.Len == 0 || int(in.Len) > len(code) || in.Len > 15 {
 			t.Errorf("Decode(% x): bad length %d", code, in.Len)
 			return false
 		}
 		sum := in.NumPrefix + in.NumOpcode + in.NumDisp + in.NumImm
-		if in.HasModRM {
+		if in.Has(FlagModRM) {
 			sum++
 		}
-		if in.HasSIB {
+		if in.Has(FlagSIB) {
 			sum++
 		}
 		if sum != in.Len {
