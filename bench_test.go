@@ -379,18 +379,17 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkPooledProvision measures enclave acquisition — the cost pooling
-// removes from the session path:
+// BenchmarkPooledProvision measures enclave acquisition:
 //
 //	fresh   — the measured build (ECREATE + EADD/EEXTEND of every page +
-//	          EINIT + RSA keygen), what every session paid before pooling.
-//	clone   — snapshot restore into fresh EPC slots + fresh keygen, what a
-//	          pool refill worker pays per enclave.
+//	          EINIT + keygen), what every session paid before templates.
+//	clone   — snapshot restore into fresh EPC slots + fresh keygen, what
+//	          every gateway session pays.
 //	recycle — in-place scrub back to the snapshot + fresh keygen, what a
-//	          returned enclave costs to re-pool.
+//	          warm pool paid to reuse a returned enclave.
 //
-// The fresh/clone ratio is the per-enclave creation speedup the warm pool
-// converts into admit→attest latency (BENCH_7.json's pooled point).
+// clone and recycle cost about the same, which is why the gateway clones
+// per session and keeps no pool (EXPERIMENTS.md, "One enclave path").
 func BenchmarkPooledProvision(b *testing.B) {
 	const heapPages, clientPages = 1500, 512
 	cfg := core.Config{EPCPages: 16384, HeapPages: heapPages, ClientPages: clientPages}

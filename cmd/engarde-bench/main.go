@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "table to regenerate: fig2, fig3, fig4, fig5, scaling or all")
+	table := flag.String("table", "all", "table to regenerate: fig2, fig3, fig4, fig5, scaling, ledger or all")
 	benchName := flag.String("bench", "", "restrict to one benchmark (e.g. Nginx)")
 	repoRoot := flag.String("repo", ".", "repository root (for the fig2 LOC count)")
 	flag.Parse()

@@ -66,8 +66,6 @@ func main() {
 		policyWorkers = flag.Int("policy-workers", 0, "workers sharding each session's policy checks (0 = GOMAXPROCS, 1 = sequential)")
 
 		maxConcurrent = flag.Int("max-concurrent", gateway.DefaultMaxConcurrent, "maximum enclaves in flight (worker-pool size)")
-		enclavePool   = flag.Int("enclave-pool", 0, "warm enclaves kept cloned and attestation-ready (0 disables pooling)")
-		poolRefill    = flag.Int("pool-refill-workers", 0, "background workers refilling the enclave pool (0 = default)")
 		queueDepth    = flag.Int("queue-depth", 0, "connections allowed to wait for a worker (0 = 2x max-concurrent, negative = none)")
 		cacheEntries  = flag.Int("cache-entries", gateway.DefaultCacheEntries, "verdict cache capacity (negative disables caching)")
 
@@ -101,7 +99,6 @@ func main() {
 		heapPages: *heapPages, clientPages: *clientPages, sgxv1: *sgxv1,
 		disasmWorkers: *disasmWorkers, policyWorkers: *policyWorkers,
 		maxConcurrent: *maxConcurrent, queueDepth: *queueDepth,
-		enclavePool: *enclavePool, poolRefillWorkers: *poolRefill,
 		cacheEntries: *cacheEntries,
 		idleTimeout:  *idleTimeout, sessionBudget: *sessionBudget,
 		fnCacheEntries: *fnCacheEntries, fnCachePath: *fnCachePath,
@@ -126,7 +123,6 @@ type config struct {
 
 	disasmWorkers, policyWorkers            int
 	maxConcurrent, queueDepth, cacheEntries int
-	enclavePool, poolRefillWorkers          int
 	fnCacheEntries                          int
 	fnCachePath                             string
 	fnCacheReprobe                          time.Duration
@@ -215,8 +211,6 @@ func run(cfg config) error {
 		PolicyWorkers:        cfg.policyWorkers,
 		MaxConcurrent:        cfg.maxConcurrent,
 		QueueDepth:           cfg.queueDepth,
-		EnclavePool:          cfg.enclavePool,
-		PoolRefillWorkers:    cfg.poolRefillWorkers,
 		CacheEntries:         cfg.cacheEntries,
 		FnCacheEntries:       cfg.fnCacheEntries,
 		FnCachePath:          cfg.fnCachePath,

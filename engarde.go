@@ -266,8 +266,7 @@ type EnclaveSnapshot struct {
 }
 
 // NewEnclaveSnapshot builds and captures the snapshot template. The
-// one-time measured-build cost is charged to the provider's counter and
-// reported by BuildCycles.
+// one-time measured-build cost is charged to the provider's counter.
 func (p *Provider) NewEnclaveSnapshot(cfg EnclaveConfig) (*EnclaveSnapshot, error) {
 	s, err := core.NewSnapshotter(core.Config{
 		Version:       p.cfg.Version,
@@ -316,23 +315,13 @@ func (s *EnclaveSnapshot) Recycle(e *Enclave) (*Enclave, error) {
 // Measurement returns the MRENCLAVE every clone carries.
 func (s *EnclaveSnapshot) Measurement() Measurement { return s.snap.Measurement() }
 
-// BuildCycles returns the one-time template build-and-capture cycle cost.
-func (s *EnclaveSnapshot) BuildCycles() uint64 { return s.snap.BuildCycles() }
-
-// CloneCycleCost returns the deterministic cycle-model cost of one clone.
-func (s *EnclaveSnapshot) CloneCycleCost() uint64 { return s.snap.CloneCycleCost() }
-
-// SnapshotPages returns the number of pages restored per clone.
-func (s *EnclaveSnapshot) SnapshotPages() int { return s.snap.SnapshotPages() }
-
 // Quote produces the attestation quote binding the enclave measurement and
 // its ephemeral public key.
 func (e *Enclave) Quote() (Quote, error) { return e.core.Quote(e.provider.qe) }
 
 // SetTrace attaches a trace to the enclave so later work (provisioning
-// phases) lands on a session's timeline. Pools use it at checkout: the
-// enclave was cloned untraced in the background, then adopts the session
-// trace of whoever checks it out.
+// phases) lands on a session's timeline: an enclave cloned untraced adopts
+// the trace of whoever uses it next; nil detaches it.
 func (e *Enclave) SetTrace(tr *obs.Trace) { e.core.SetTrace(tr) }
 
 // PublicKeyDER exports the enclave's ephemeral X25519 public key as PKIX
@@ -400,11 +389,6 @@ func (e *Enclave) Destroy() { e.core.Destroy() }
 // errors.Is and transparently re-runs the session on a fresh enclave;
 // losses cost availability headroom, never verdict integrity.
 var ErrEnclaveLost = sgx.ErrEnclaveLost
-
-// Lost reports whether the enclave's EPC backing was reclaimed by the
-// host (see ErrEnclaveLost). Pools check this at checkout so a dead
-// warm enclave is discarded instead of handed to a session.
-func (e *Enclave) Lost() bool { return e.core.Enclave().Lost() }
 
 // Reclaim tears the enclave's EPC pages out from under it, marking it
 // lost — deterministic enclave-loss injection for recovery drills and

@@ -101,21 +101,9 @@ func Run(exp Experiment, spec workload.Spec) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	counter := cycles.NewCounter(cycles.DefaultModel())
-	g, err := core.New(core.Config{
-		Version:     sgx.V2,
-		EPCPages:    sgx.ModifiedEPCPages,
-		HeapPages:   sgx.ModifiedHeapPages, // the paper's OpenSGX setting
-		ClientPages: 1024,
-		Policies:    pols,
-		Counter:     counter,
-	})
+	rep, counter, err := provision(spec.Name, bin.Image, core.Config{Policies: pols})
 	if err != nil {
-		return Row{}, fmt.Errorf("bench: creating enclave for %s: %w", spec.Name, err)
-	}
-	rep, err := g.Provision(bin.Image)
-	if err != nil {
-		return Row{}, fmt.Errorf("bench: provisioning %s: %w", spec.Name, err)
+		return Row{}, err
 	}
 	if !rep.Compliant {
 		return Row{}, fmt.Errorf("bench: %s unexpectedly rejected: %s", spec.Name, rep.Reason)
@@ -127,6 +115,27 @@ func Run(exp Experiment, spec workload.Spec) (Row, error) {
 		PolicyChecking: counter.Cycles(cycles.PhasePolicy),
 		LoadReloc:      counter.Cycles(cycles.PhaseLoad),
 	}, nil
+}
+
+// provision runs image through a fresh enclave at the paper's OpenSGX
+// setting, with cfg supplying the policies and any worker or memo options,
+// and returns the report and the cycles that enclave charged.
+func provision(name string, image []byte, cfg core.Config) (*core.Report, *cycles.Counter, error) {
+	counter := cycles.NewCounter(cycles.DefaultModel())
+	cfg.Version = sgx.V2
+	cfg.EPCPages = sgx.ModifiedEPCPages
+	cfg.HeapPages = sgx.ModifiedHeapPages
+	cfg.ClientPages = 1024
+	cfg.Counter = counter
+	g, err := core.New(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: creating enclave for %s: %w", name, err)
+	}
+	rep, err := g.Provision(image)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: provisioning %s: %w", name, err)
+	}
+	return rep, counter, nil
 }
 
 // RunAll executes one experiment over all seven paper benchmarks.

@@ -33,9 +33,8 @@ type ChaosFleetConfig struct {
 	Backends int
 	// Policies is each backend's policy set; nil means stack-protector.
 	Policies *engarde.PolicySet
-	// EnclavePool, CacheEntries, MaxConcurrent configure each backend
-	// (gateway semantics; zero values take gateway defaults).
-	EnclavePool   int
+	// CacheEntries, MaxConcurrent configure each backend (gateway
+	// semantics; zero values take gateway defaults).
 	CacheEntries  int
 	MaxConcurrent int
 	// SharedFnCache turns on every backend's function-result cache and
@@ -158,7 +157,6 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			ClientPages:    cfg.ClientPages,
 			MaxConcurrent:  cfg.MaxConcurrent,
 			CacheEntries:   cfg.CacheEntries,
-			EnclavePool:    cfg.EnclavePool,
 			FnCacheEntries: fnEntries,
 			FnCachePeers:   peers,
 			TraceSink:      sink,
@@ -280,8 +278,8 @@ func (f *ChaosFleet) RouterSink() *obs.Sink { return f.routerSink }
 func (f *ChaosFleet) AdminURL(i int) string { return "http://" + f.backends[i].adminAddr }
 
 // Kill crashes backend i: session listener and every in-flight connection
-// reset, admin endpoint dark. The gateway object survives (its enclave
-// pool, caches, and EPC ledger are host state the next Restart reuses).
+// reset, admin endpoint dark. The gateway object survives (its snapshot
+// template, caches, and EPC ledger are host state the next Restart reuses).
 func (f *ChaosFleet) Kill(i int) {
 	b := f.backends[i]
 	if b.down {

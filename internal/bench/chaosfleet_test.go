@@ -213,7 +213,6 @@ func TestFleetChaosSoak(t *testing.T) {
 
 	fleet, err := StartChaosFleet(ChaosFleetConfig{
 		Backends:         3,
-		EnclavePool:      2,
 		MaxConcurrent:    4,
 		HealthInterval:   20 * time.Millisecond,
 		ProbeTimeout:     200 * time.Millisecond,
@@ -310,7 +309,7 @@ func TestFleetChaosSoak(t *testing.T) {
 		t.Errorf("fleet shutdown: %v", err)
 	}
 	// Every backend's EPC ledger balances: every enclave created across
-	// all crashes, failovers, and pool churn was destroyed exactly once.
+	// all crashes and failovers was destroyed exactly once.
 	for i := 0; i < 3; i++ {
 		dev := fleet.Provider(i).Device()
 		if free, cap := dev.EPCFree(), dev.EPCCapacity(); free != cap {

@@ -35,7 +35,7 @@ type Snapshotter struct {
 // destroys the template. The one-time build cost (the full measured build
 // plus the template's keygen) is charged to cfg.Counter's provisioning
 // phase and reported via BuildCycles; it is the amortized capital cost of
-// the pool, deliberately outside any session's trace.
+// every clone, deliberately outside any session's trace.
 func NewSnapshotter(cfg Config, dev *sgx.Device) (*Snapshotter, error) {
 	cfg.applyDefaults()
 	base := cfg
@@ -129,8 +129,7 @@ func (s *Snapshotter) wrap(encl *sgx.Enclave, tr *obs.Trace) (*EnGarde, error) {
 // snapshot. The returned instance is attestation-ready (quote binds the
 // snapshot MRENCLAVE and a fresh per-clone X25519 key) and behaves exactly
 // like one built by NewOnDevice, minus the measured-build cost. tr may be
-// nil; pools typically clone untraced in the background and attach the
-// session's trace at checkout via SetTrace.
+// nil; an instance cloned untraced can attach a trace later via SetTrace.
 func (s *Snapshotter) Clone(tr *obs.Trace) (*EnGarde, error) {
 	sp := tr.StartPhase("clone-enclave")
 	defer sp.End()
@@ -160,7 +159,7 @@ func (s *Snapshotter) Recycle(g *EnGarde) (*EnGarde, error) {
 	return s.wrap(g.encl, nil)
 }
 
-// SetTrace attaches a trace to an existing instance, so a pooled enclave
-// cloned in the background reports its provisioning spans against the
-// session that checked it out.
+// SetTrace attaches a trace to an existing instance, so an enclave cloned
+// untraced reports its provisioning spans against the session that uses
+// it.
 func (g *EnGarde) SetTrace(tr *obs.Trace) { g.cfg.Trace = tr }

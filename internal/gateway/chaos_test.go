@@ -71,7 +71,9 @@ func TestStreamingChaosSoak(t *testing.T) { runChaosSoak(t, true) }
 
 func runChaosSoak(t *testing.T, varyFrames bool) {
 	baseline := runtime.NumGoroutine()
+	provider := testProvider(t)
 	gw, ln, client := testGateway(t, gateway.Config{
+		Provider:       provider,
 		Policies:       engarde.NewPolicySet(engarde.StackProtectorPolicy()),
 		MaxConcurrent:  4,
 		QueueDepth:     4, // capacity 8 < clients 12, so shedding happens
@@ -193,6 +195,12 @@ func runChaosSoak(t *testing.T, varyFrames bool) {
 	}
 	if s.Accepted != s.Served {
 		t.Errorf("accepted=%d != served=%d: admitted connection lost without service", s.Accepted, s.Served)
+	}
+	// EPC slot balance: with every session torn down, only the provider's
+	// own quoting enclave still holds pages.
+	held := testEPCPages - provider.Device().EPCFree()
+	if perEnclave := 16 + testHeapPages + testClientPages; held >= perEnclave {
+		t.Errorf("EPC leak: %d pages still held after shutdown (≥ one %d-page enclave)", held, perEnclave)
 	}
 	waitGoroutines(t, baseline)
 }

@@ -32,10 +32,9 @@
 // session's clone has bit-identical pages and the same MRENCLAVE under a
 // fresh enclave identity and keypair. The attestation story and the
 // verdict are exactly those of a fresh build
-// (TestPooledProvisionMatchesFresh), and the clone is destroyed at session
-// end. Config.EnclavePool additionally keeps clones of the same template
-// ready in advance and scrubs returned enclaves back to the pristine image
-// before reuse, so no tenant's bytes survive into the next session.
+// (TestPooledProvisionMatchesFresh). Each session has one enclave
+// lifecycle — clone, serve, destroy — and no enclave ever serves two
+// tenants, so no tenant's bytes can survive into the next session.
 package gateway
 
 import (
@@ -138,24 +137,6 @@ type Config struct {
 	// (fault injection in tests wraps its transport in faults.ChaosConn).
 	FnCacheRemoteClient *http.Client
 
-	// EnclavePool, when positive, keeps that many snapshot-cloned,
-	// attestation-ready enclaves checked in: sessions check one out in
-	// microseconds (the pool-checkout span replaces clone-enclave),
-	// background workers refill after checkout, and returned enclaves are
-	// scrubbed back to the pristine snapshot image before re-entering the
-	// pool. The pool's template is built in New. 0 disables pooling —
-	// every session clones the template on its own timeline.
-	EnclavePool int
-	// PoolRefillWorkers sizes the background clone/refill worker set;
-	// 0 means DefaultPoolRefillWorkers. Ignored when EnclavePool is 0.
-	PoolRefillWorkers int
-	// PoolCheckoutWait bounds how long a session waits for a warm enclave
-	// before falling back to the cold path. 0 means
-	// DefaultPoolCheckoutWait; negative means never wait (warm only when
-	// one is ready instantly). Ignored when EnclavePool is 0.
-	PoolCheckoutWait time.Duration
-	// PoolHooks injects faults into the pool lifecycle (chaos tests).
-	PoolHooks *PoolHooks
 	// LoseEnclaveEvery, when positive, is a failure-injection drill: every
 	// Nth session's enclave has its EPC pages reclaimed (EREMOVE-style)
 	// immediately before provisioning runs, exercising the mid-provision
@@ -189,14 +170,14 @@ type Config struct {
 	OnServed func(conn net.Conn, encl *engarde.Enclave, rep *engarde.Report, err error)
 }
 
-// Gateway is a pooled, cached, observable provisioning service.
+// Gateway is an admission-controlled, cached, observable provisioning
+// service that serves every session on its own clone of one template.
 type Gateway struct {
 	cfg      Config
 	counter  *cycles.Counter
 	policyFP [sha256.Size]byte
 	cache    *verdictCache    // nil when disabled
 	fnCache  *engarde.FnCache // shared across enclaves; nil when disabled
-	pool     *enclavePool     // warm enclave pool; nil when disabled
 	metrics  *metrics
 	log      *slog.Logger
 
@@ -304,23 +285,10 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.fnCache = fc
 	}
-	if cfg.EnclavePool > 0 {
-		// The pool fills at boot, so its template is built now rather
-		// than by the first session.
-		snap, err := g.template(nil)
-		if err != nil {
-			g.closeFnCache()
-			return nil, fmt.Errorf("gateway: building enclave pool: %w", err)
-		}
-		g.pool = newEnclavePool(g, snap)
-	}
-	// After the caches, pool and counter so the registry's live-read series
+	// After the caches and counter so the registry's live-read series
 	// match what this gateway actually has, before the workers so no
 	// instrument is ever nil on the hot path.
 	g.metrics = newMetrics(g)
-	if g.pool != nil {
-		g.pool.start(cfg.PoolRefillWorkers)
-	}
 	g.workerWG.Add(cfg.MaxConcurrent)
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		go g.worker()
@@ -441,7 +409,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		g.closePool()
 		g.closeFnCache()
 		return nil
 	case <-ctx.Done():
@@ -463,18 +430,8 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 			break
 		}
 		<-done
-		g.closePool()
 		g.closeFnCache()
 		return ctx.Err()
-	}
-}
-
-// closePool drains the warm pool once every worker has exited: in-flight
-// clone and scrub goroutines are waited for, pooled enclaves destroyed, so
-// the device's EPC slot balance returns to its pre-pool state.
-func (g *Gateway) closePool() {
-	if g.pool != nil {
-		g.pool.close()
 	}
 }
 
@@ -561,11 +518,7 @@ func (g *Gateway) handle(q queuedConn) {
 	rw = secchan.ObserveFrames(rw, &sessionFrames{m: g.metrics})
 	start := time.Now()
 
-	// Warm path: check a cloned, attestation-ready enclave out of the pool
-	// (microseconds; the pool-checkout span stands where clone-enclave
-	// would). A drained pool falls through to a clone on this session's
-	// timeline, so pooling changes latency, never availability.
-	encl, warm, aerr := g.acquireEnclave(tr)
+	encl, aerr := g.acquireEnclave(tr)
 	if aerr != nil {
 		g.finishTrace(tr)
 		g.metrics.errs.Inc()
@@ -577,35 +530,12 @@ func (g *Gateway) handle(q queuedConn) {
 		return
 	}
 	defer func() {
-		// encl and warm may have been swapped by a mid-provision enclave
-		// failover; the defer releases whatever the session ended on.
-		if encl == nil {
-			return
-		}
-		if warm {
-			// Detach the session trace before the enclave outlives it, then
-			// hand the enclave back for scrubbing and reuse.
-			encl.SetTrace(nil)
-			g.pool.release(encl)
-			return
-		}
-		encl.Destroy()
-	}()
-
-	// discardLost hands the reclaimed corpse back: a pooled enclave goes
-	// through discard (it is empty — nothing to scrub), a cold one is
-	// destroyed directly. Either way encl is cleared so the session defer
-	// and the failover below cannot touch it again.
-	discardLost := func() {
-		if warm {
-			encl.SetTrace(nil)
-			g.pool.lost.Add(1)
-			g.pool.discard(encl)
-		} else {
+		// encl may have been swapped by a mid-provision enclave failover;
+		// the defer destroys whatever the session ended on.
+		if encl != nil {
 			encl.Destroy()
 		}
-		encl, warm = nil, false
-	}
+	}()
 
 	// drill is the LoseEnclaveEvery failure-injection hook: it fires inside
 	// the provisioning step — after the image arrived, before the pipeline
@@ -620,11 +550,10 @@ func (g *Gateway) handle(q queuedConn) {
 	// recoverLost is the transparent enclave failover: when provisioning
 	// failed because the enclave's EPC pages were reclaimed under it, the
 	// staged image (plaintext and digest) is still in hand, so the session
-	// is re-run in full on a replacement enclave (pooled or freshly cloned —
-	// identical MRENCLAVE either way) instead of surfacing a machinery
-	// failure to a client that did nothing wrong. The first attempt already
-	// released any speculative decode, so the replay decodes from the
-	// buffer — identical verdicts by construction
+	// is re-run in full on a replacement clone (identical MRENCLAVE) instead
+	// of surfacing a machinery failure to a client that did nothing wrong.
+	// The first attempt already released any speculative decode, so the
+	// replay decodes from the buffer — identical verdicts by construction
 	// (TestStreamingMatchesSequential).
 	// One replacement attempt: a second loss means the host is shedding EPC
 	// faster than sessions run, and the typed backend-lost verdict
@@ -636,11 +565,14 @@ func (g *Gateway) handle(q queuedConn) {
 		g.metrics.enclaveLost.Inc()
 		g.log.Warn("gateway: enclave lost mid-provision, failing over",
 			"trace", tr.ID(), "remote", connAddr(conn), "err", perr)
-		discardLost()
+		// Destroy the reclaimed corpse and clear encl so the session defer
+		// cannot touch it again if no replacement is found.
+		encl.Destroy()
+		encl = nil
 		sp := tr.StartSpan("enclave-failover")
 		defer sp.End()
 		var ferr error
-		encl, warm, ferr = g.acquireEnclave(tr)
+		encl, ferr = g.acquireEnclave(tr)
 		if ferr != nil {
 			return nil, fmt.Errorf("gateway: replacing lost enclave: %w", errors.Join(ferr, perr))
 		}
@@ -694,27 +626,15 @@ func (g *Gateway) handle(q queuedConn) {
 	}
 }
 
-// acquireEnclave obtains the session's enclave: a warm pool checkout when
-// one is ready (the pool itself drains lost enclaves, so a warm result is
-// healthy at handoff), else a clone of the template traced as the
-// session's clone-enclave span. Used both at session start and to find a
-// replacement during mid-provision enclave failover.
-func (g *Gateway) acquireEnclave(tr *obs.Trace) (*engarde.Enclave, bool, error) {
-	if g.pool != nil {
-		sp := tr.StartPhase("pool-checkout")
-		encl, warm := g.pool.checkout()
-		sp.End()
-		if warm {
-			encl.SetTrace(tr)
-			return encl, true, nil
-		}
-	}
+// acquireEnclave clones the session's enclave from the template, traced
+// as the session's clone-enclave span. Used both at session start and to
+// find a replacement during mid-provision enclave failover.
+func (g *Gateway) acquireEnclave(tr *obs.Trace) (*engarde.Enclave, error) {
 	snap, err := g.template(tr)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	encl, err := snap.CloneTraced(tr)
-	return encl, false, err
+	return snap.CloneTraced(tr)
 }
 
 // template returns the gateway's snapshot template, building it the

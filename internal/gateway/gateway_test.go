@@ -1,8 +1,10 @@
 package gateway_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"engarde/internal/cycles"
 	"engarde/internal/elf64"
 	"engarde/internal/gateway"
+	"engarde/internal/sgx"
 	"engarde/internal/toolchain"
 )
 
@@ -90,15 +93,30 @@ func buildImage(t testing.TB, name string, seed int64, stackProtected bool) []by
 	return bin.Image
 }
 
-// testGateway assembles a provider + gateway and a client template.
-func testGateway(t testing.TB, cfg gateway.Config) (*gateway.Gateway, *pipeListener, *engarde.Client) {
+// testEPCPages sizes every test provider's EPC.
+const testEPCPages = 16384
+
+// testProvider builds a provider with its own cycle counter. A test that
+// audits the device's EPC balance builds one itself and hands it to
+// testGateway through Config.Provider.
+func testProvider(t testing.TB) *engarde.Provider {
 	t.Helper()
 	counter := cycles.NewCounter(cycles.DefaultModel())
-	provider, err := engarde.NewProvider(engarde.ProviderConfig{EPCPages: 16384, Counter: counter})
+	provider, err := engarde.NewProvider(engarde.ProviderConfig{EPCPages: testEPCPages, Counter: counter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Provider = provider
+	return provider
+}
+
+// testGateway assembles a gateway and a client template, on cfg.Provider
+// when set and on a fresh testProvider otherwise.
+func testGateway(t testing.TB, cfg gateway.Config) (*gateway.Gateway, *pipeListener, *engarde.Client) {
+	t.Helper()
+	if cfg.Provider == nil {
+		cfg.Provider = testProvider(t)
+	}
+	provider := cfg.Provider
 	cfg.HeapPages = testHeapPages
 	cfg.ClientPages = testClientPages
 	if cfg.IdleTimeout == 0 {
@@ -375,11 +393,14 @@ func TestGatewayShutdownDrainsInFlight(t *testing.T) {
 
 // TestGatewayBackpressure: with a single worker and no queue, a second
 // concurrent connection is shed at admission with a typed busy verdict
-// carrying a Retry-After hint — never silently closed, never queued.
+// carrying the configured Retry-After hint — never silently closed, never
+// queued.
 func TestGatewayBackpressure(t *testing.T) {
+	hint := 15 * time.Millisecond
 	gw, ln, client := testGateway(t, gateway.Config{
-		MaxConcurrent: 1,
-		QueueDepth:    -1, // no waiting room
+		MaxConcurrent:  1,
+		QueueDepth:     -1, // no waiting room
+		RetryAfterHint: hint,
 	})
 	image := buildImage(t, "bp", 94, false)
 
@@ -405,8 +426,8 @@ func TestGatewayBackpressure(t *testing.T) {
 	if v.Compliant || v.Code != engarde.CodeBusy {
 		t.Fatalf("shed verdict = %+v, want code %q", v, engarde.CodeBusy)
 	}
-	if v.RetryAfterMillis <= 0 {
-		t.Errorf("busy verdict carries no Retry-After hint: %+v", v)
+	if v.RetryAfterMillis != hint.Milliseconds() {
+		t.Errorf("Retry-After hint = %dms, want %dms", v.RetryAfterMillis, hint.Milliseconds())
 	}
 	waitFor(t, "shed counted", func() bool { return gw.Stats().Shed == 1 })
 
@@ -419,6 +440,67 @@ func TestGatewayBackpressure(t *testing.T) {
 	waitFor(t, "stalled session accounted", func() bool { return gw.Stats().Served == 1 })
 	if s := gw.Stats(); s.Shed != 1 || s.Rejected != 0 || s.Accepted != 1 {
 		t.Errorf("accepted=%d shed=%d rejected=%d, want 1/1/0", s.Accepted, s.Shed, s.Rejected)
+	}
+}
+
+// TestGatewayPoolDrainedStillSheds: while the only worker is held, the
+// device's pool of free EPC pages does not move for a shed connection.
+// Admission runs before any enclave is cloned, so a tenant turned away
+// with a busy verdict never draws EPC.
+func TestGatewayPoolDrainedStillSheds(t *testing.T) {
+	hint := 15 * time.Millisecond
+	provider := testProvider(t)
+	gw, ln, client := testGateway(t, gateway.Config{
+		Provider:       provider,
+		MaxConcurrent:  1,
+		QueueDepth:     -1, // no waiting room
+		RetryAfterHint: hint,
+	})
+	image := buildImage(t, "pool-shed", 984, false)
+	dev := provider.Device()
+
+	// Occupy the only worker: this client reads one byte of the server
+	// hello and stops, so the session pins the worker with its enclave
+	// already cloned (the hello is written after the clone) and its EPC
+	// draw settled.
+	stall, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first [1]byte
+	if _, err := io.ReadFull(stall, first[:]); err != nil {
+		t.Fatalf("reading the stalled session's hello: %v", err)
+	}
+	waitFor(t, "stalled session active", func() bool { return gw.Stats().Active == 1 })
+
+	before := dev.EPCFree()
+	v, err := provisionOnce(t, ln, client, image)
+	if err != nil {
+		t.Fatalf("shed connection must still complete the protocol: %v", err)
+	}
+	if v.Compliant || v.Code != engarde.CodeBusy {
+		t.Fatalf("shed verdict = %+v, want code %q", v, engarde.CodeBusy)
+	}
+	if v.RetryAfterMillis != hint.Milliseconds() {
+		t.Errorf("Retry-After hint = %dms, want %dms", v.RetryAfterMillis, hint.Milliseconds())
+	}
+	waitFor(t, "shed counted", func() bool { return gw.Stats().Shed == 1 })
+	if after := dev.EPCFree(); after != before {
+		t.Errorf("shed connection moved the EPC free pool: %d free before, %d after", before, after)
+	}
+
+	resumed := struct {
+		io.Reader
+		io.Writer
+	}{io.MultiReader(bytes.NewReader(first[:]), stall), stall}
+	v, err = client.Provision(resumed, image)
+	stall.Close()
+	if err != nil || !v.Compliant {
+		t.Errorf("stalled client after release: %+v, %v", v, err)
+	}
+	waitFor(t, "session accounted", func() bool { return gw.Stats().Served == 1 })
+	if s := gw.Stats(); s.Shed != 1 {
+		t.Errorf("shed = %d, want 1", s.Shed)
 	}
 }
 
@@ -506,5 +588,66 @@ func TestGatewayRejectsRelocationIntoText(t *testing.T) {
 	waitFor(t, "two sessions served", func() bool { return gw.Stats().Served == 2 })
 	if s := gw.Stats(); s.Compliant != 0 {
 		t.Errorf("stats count %d compliant sessions, want 0", s.Compliant)
+	}
+}
+
+// TestGatewayNoCrossSessionResidue: a canary that session A writes into a
+// high heap page must be unreadable in session B, even when B's enclave
+// is backed by the very EPC slot that held it. Destroy frees A's slots
+// without zeroing them, and the device's free list is LIFO, so B's clone
+// re-takes A's slots; the test asserts that B holds the canary's slot, so
+// it cannot pass without exercising the reuse.
+func TestGatewayNoCrossSessionResidue(t *testing.T) {
+	canary := bytes.Repeat([]byte("SLOT-CANARY."), 512)[:sgx.PageSize]
+	var (
+		session    int
+		canarySlot int
+		reused     bool
+	)
+	observed := make(chan struct{}, 2)
+	_, ln, client := testGateway(t, gateway.Config{
+		MaxConcurrent: 1,
+		OnServed: func(_ net.Conn, encl *engarde.Enclave, _ *engarde.Report, err error) {
+			defer func() { observed <- struct{}{} }()
+			if err != nil || encl == nil {
+				t.Errorf("session %d: %v", session+1, err)
+				return
+			}
+			e := encl.Core().Enclave()
+			session++
+			switch session {
+			case 1:
+				// High heap page: untouched by the session's own buffers.
+				addr := encl.Core().Layout().HeapBase + 1200*sgx.PageSize
+				if err := e.Write(addr, canary); err != nil {
+					t.Errorf("writing canary: %v", err)
+				}
+				canarySlot, _ = e.PageSlot(addr)
+			case 2:
+				for _, va := range e.MappedPages() {
+					if slot, _ := e.PageSlot(va); slot != canarySlot {
+						continue
+					}
+					reused = true
+					got := make([]byte, sgx.PageSize)
+					if err := e.Read(va, got); err != nil {
+						t.Errorf("reading page %#x: %v", va, err)
+					} else if bytes.Contains(got, []byte("SLOT-CANARY")) {
+						t.Errorf("session A's canary is readable in session B at %#x", va)
+					}
+				}
+			}
+		},
+	})
+	image := buildImage(t, "residue", 983, true)
+	for _, name := range []string{"A", "B"} {
+		if v, err := provisionOnce(t, ln, client, image); err != nil || !v.Compliant {
+			t.Fatalf("session %s: %+v, %v", name, v, err)
+		}
+	}
+	<-observed
+	<-observed
+	if !reused {
+		t.Errorf("session B does not hold the canary's EPC slot %d; the test exercised no reuse", canarySlot)
 	}
 }

@@ -2,13 +2,10 @@ package gateway_test
 
 // Enclave-loss recovery: a session whose enclave has its EPC pages
 // reclaimed mid-provision must complete with exactly the verdict a
-// fault-free session gets (on a replacement enclave), and lost enclaves
-// sitting in the warm pool must be drained at checkout instead of being
-// handed to sessions. Losing an enclave may cost latency, never verdict
-// integrity.
+// fault-free session gets (on a replacement enclave). Losing an enclave
+// may cost latency, never verdict integrity.
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"engarde"
@@ -45,7 +42,6 @@ func TestEnclaveLossMidProvisionFailover(t *testing.T) {
 		cfg  gateway.Config
 	}{
 		{"cold", gateway.Config{MaxConcurrent: 2, Policies: policies, LoseEnclaveEvery: 1, CacheEntries: -1}},
-		{"pooled", gateway.Config{MaxConcurrent: 2, Policies: policies, LoseEnclaveEvery: 1, CacheEntries: -1, EnclavePool: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gw, ln, client := testGateway(t, tc.cfg)
@@ -116,48 +112,4 @@ func TestEnclaveLossVerdictCacheNotPoisoned(t *testing.T) {
 	if s := gw.Stats(); s.CacheMisses != 1 || s.CacheHits != 3 {
 		t.Errorf("cache lookups = %d hits / %d misses, want 3/1", s.CacheHits, s.CacheMisses)
 	}
-}
-
-// TestPoolDrainsLostEnclaves poisons the first clones entering the pool
-// (their EPC pages reclaimed while they sit idle) and verifies checkout
-// discards them instead of handing a corpse to a session: the session
-// completes with the correct verdict and the losses are accounted.
-func TestPoolDrainsLostEnclaves(t *testing.T) {
-	image := buildImage(t, "loss-pool", 604, true)
-	var poisoned atomic.Int32
-	gw, ln, client := testGateway(t, gateway.Config{
-		MaxConcurrent: 2,
-		EnclavePool:   2,
-		PoolHooks: &gateway.PoolHooks{
-			AfterClone: func(e *engarde.Enclave) error {
-				// Reclaim the first two clones after they were minted —
-				// they enter the pool already lost.
-				if poisoned.Add(1) <= 2 {
-					e.Reclaim()
-				}
-				return nil
-			},
-		},
-	})
-	waitFor(t, "pool filled with poisoned clones", func() bool {
-		return gw.Stats().Pool.Depth == 2
-	})
-
-	v, err := provisionOnce(t, ln, client, image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Compliant {
-		t.Errorf("verdict = %+v, want compliant", v)
-	}
-	waitFor(t, "lost enclaves drained", func() bool { return gw.Stats().Pool.Lost >= 2 })
-	s := gw.Stats()
-	if s.EnclavesLost != 0 {
-		t.Errorf("EnclavesLost = %d, want 0 — pool-detected losses must never reach a session", s.EnclavesLost)
-	}
-	if s.Errors != 0 {
-		t.Errorf("Errors = %d, want 0", s.Errors)
-	}
-	// The pool self-heals back to target with healthy clones.
-	waitFor(t, "pool healed", func() bool { return gw.Stats().Pool.Depth == 2 })
 }

@@ -162,46 +162,6 @@ func newMetrics(g *Gateway) *metrics {
 			"Function results stored on behalf of fleet peers over /memoz.",
 			func() uint64 { return g.fnCache.Stats().PeerStored })
 	}
-	if g.pool != nil {
-		p := g.pool
-		p.waitHist = reg.Histogram("engarde_gateway_pool_checkout_wait_seconds",
-			"Time sessions waited to check a warm enclave out of the pool.",
-			obs.HistogramOpts{Buckets: 28, Scale: 1e-6})
-		reg.GaugeFunc("engarde_gateway_pool_depth",
-			"Warm enclaves currently checked in and ready.",
-			func() float64 { return float64(len(p.slots)) })
-		reg.GaugeFunc("engarde_gateway_pool_target",
-			"Configured warm-pool depth the refill workers maintain.",
-			func() float64 { return float64(p.target) })
-		reg.CounterFunc("engarde_gateway_pool_checkouts_total",
-			"Enclave checkouts by source: warm (pooled) or cold (fallback clone).",
-			p.warm.Load, obs.Label{Key: "source", Value: "warm"})
-		reg.CounterFunc("engarde_gateway_pool_checkouts_total", "",
-			p.cold.Load, obs.Label{Key: "source", Value: "cold"})
-		reg.CounterFunc("engarde_gateway_pool_clones_total",
-			"Background snapshot-clone attempts by result.",
-			p.clones.Load, obs.Label{Key: "result", Value: "ok"})
-		reg.CounterFunc("engarde_gateway_pool_clones_total", "",
-			p.cloneErrs.Load, obs.Label{Key: "result", Value: "error"})
-		reg.CounterFunc("engarde_gateway_pool_scrubs_total",
-			"Returned enclaves scrubbed to the snapshot image and re-pooled.",
-			p.scrubs.Load)
-		reg.CounterFunc("engarde_gateway_pool_discards_total",
-			"Returned enclaves destroyed instead of re-pooled (drain, scrub failure, raced-full pool).",
-			p.discards.Load)
-		reg.CounterFunc("engarde_gateway_enclave_lost_total", "",
-			p.lost.Load, obs.Label{Key: "at", Value: "pool"})
-		// Amortized snapshot economics: the one-time measured build of the
-		// template, and the cycle-model cost of the clones minted so far —
-		// creation work that pooling keeps off the session timeline but must
-		// stay visible on the exposition (see EXPERIMENTS.md).
-		reg.GaugeFunc("engarde_gateway_pool_snapshot_build_cycles",
-			"One-time cycle cost of building and capturing the snapshot template.",
-			func() float64 { return float64(p.snap.BuildCycles()) })
-		reg.CounterFunc("engarde_gateway_pool_clone_cycles_total",
-			"Cycle-model cost of all snapshot clones minted so far.",
-			func() uint64 { return p.clones.Load() * p.snap.CloneCycleCost() })
-	}
 	if g.counter != nil {
 		for _, p := range cycles.AllPhases() {
 			p := p

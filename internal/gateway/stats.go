@@ -63,7 +63,7 @@ type Stats struct {
 	Errors       uint64 `json:"errors"` // protocol/machinery failures
 
 	// Enclave-loss recovery.
-	EnclavesLost     uint64 `json:"enclaves_lost"`     // lost mid-provision (pool-detected losses are under Pool.Lost)
+	EnclavesLost     uint64 `json:"enclaves_lost"`     // lost mid-provision
 	EnclaveFailovers uint64 `json:"enclave_failovers"` // sessions completed on a replacement enclave
 
 	// Verdict cache.
@@ -77,35 +77,11 @@ type Stats struct {
 	FnCache        *engarde.FnCacheStats `json:"fn_cache,omitempty"`
 	FnCacheHitRate float64               `json:"fn_cache_hit_rate,omitempty"` // hits / (hits+misses)
 
-	// Enclave warm pool. Nil when pooling is disabled.
-	Pool *PoolStats `json:"pool,omitempty"`
-
 	// Cycle-model totals across all enclaves (empty without a Counter).
 	PhaseCycles map[string]uint64 `json:"phase_cycles,omitempty"`
 	TotalCycles uint64            `json:"total_cycles,omitempty"`
 
 	Latency LatencySnapshot `json:"latency"`
-}
-
-// PoolStats snapshots the enclave warm pool: depth and lifecycle counters,
-// plus the amortized snapshot economics (the one-time template build and
-// the cycle-model cost of all clones minted so far) that pooling keeps off
-// individual session timelines.
-type PoolStats struct {
-	Target        int    `json:"target"`
-	Depth         int    `json:"depth"`
-	WarmCheckouts uint64 `json:"warm_checkouts"`
-	ColdCheckouts uint64 `json:"cold_checkouts"`
-	Clones        uint64 `json:"clones"`
-	CloneErrors   uint64 `json:"clone_errors"`
-	Scrubs        uint64 `json:"scrubs"`
-	Discards      uint64 `json:"discards"`
-	Lost          uint64 `json:"lost"` // found lost while pooled (checkout drain or return)
-
-	SnapshotPages       int    `json:"snapshot_pages"`
-	SnapshotBuildCycles uint64 `json:"snapshot_build_cycles"`
-	CloneCycleCost      uint64 `json:"clone_cycle_cost"`
-	CloneCycles         uint64 `json:"clone_cycles"`
 }
 
 // Stats returns a consistent-enough snapshot for monitoring: each field is
@@ -143,24 +119,6 @@ func (g *Gateway) Stats() Stats {
 		s.FnCache = &fc
 		if lookups := fc.Hits + fc.Misses; lookups > 0 {
 			s.FnCacheHitRate = float64(fc.Hits) / float64(lookups)
-		}
-	}
-	if p := g.pool; p != nil {
-		clones := p.clones.Load()
-		s.Pool = &PoolStats{
-			Target:              p.target,
-			Depth:               len(p.slots),
-			WarmCheckouts:       p.warm.Load(),
-			ColdCheckouts:       p.cold.Load(),
-			Clones:              clones,
-			CloneErrors:         p.cloneErrs.Load(),
-			Scrubs:              p.scrubs.Load(),
-			Discards:            p.discards.Load(),
-			Lost:                p.lost.Load(),
-			SnapshotPages:       p.snap.SnapshotPages(),
-			SnapshotBuildCycles: p.snap.BuildCycles(),
-			CloneCycleCost:      p.snap.CloneCycleCost(),
-			CloneCycles:         clones * p.snap.CloneCycleCost(),
 		}
 	}
 	if g.counter != nil {
