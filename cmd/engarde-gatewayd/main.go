@@ -20,9 +20,8 @@
 //
 // The same mux serves the fleet plumbing: /healthz (liveness), /readyz
 // (readiness — 503 while draining, which is what engarde-router's health
-// prober keys off), and /memoz/ (the function-result cache peer protocol;
-// point other gatewayds at it with -fn-cache-peers to share warm-path
-// state across a fleet).
+// prober keys off). The function-result cache (-fn-cache-entries) lives
+// only in this process: it is never persisted or served to a peer.
 //
 // Logs are structured (log/slog, text or JSON) and every session record
 // carries the session's trace ID, so a slow span seen in /tracez joins to
@@ -43,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -69,12 +67,7 @@ func main() {
 		queueDepth    = flag.Int("queue-depth", 0, "connections allowed to wait for a worker (0 = 2x max-concurrent, negative = none)")
 		cacheEntries  = flag.Int("cache-entries", gateway.DefaultCacheEntries, "verdict cache capacity (negative disables caching)")
 
-		fnCacheEntries = flag.Int("fn-cache-entries", 0, "function-result cache capacity shared across tenants (0 = default, negative disables)")
-		fnCachePath    = flag.String("fn-cache-path", "", "persist the function-result cache to this append log so restarts provision warm (empty = in-memory only)")
-		fnCacheReprobe = flag.Duration("fn-cache-reprobe", 0, "how long the fn-cache disk tier's tripped circuit breaker waits before re-probing the disk (0 = default)")
-
-		fnCachePeers         = flag.String("fn-cache-peers", "", "comma-separated peer /memoz base URLs (e.g. http://10.0.0.2:7780/memoz) to share memoized function results with (empty disables the remote tier)")
-		fnCacheRemoteTimeout = flag.Duration("fn-cache-remote-timeout", 0, "deadline for one fn-cache peer round-trip (0 = default)")
+		fnCacheEntries = flag.Int("fn-cache-entries", 0, "in-process function-result cache capacity shared across tenants (0 = default, negative disables)")
 
 		loseEvery = flag.Int("lose-enclave-every", 0, "fault drill: reclaim every Nth session's enclave mid-provision, EREMOVE-style, to exercise enclave-loss recovery (0 disables)")
 
@@ -101,12 +94,9 @@ func main() {
 		maxConcurrent: *maxConcurrent, queueDepth: *queueDepth,
 		cacheEntries: *cacheEntries,
 		idleTimeout:  *idleTimeout, sessionBudget: *sessionBudget,
-		fnCacheEntries: *fnCacheEntries, fnCachePath: *fnCachePath,
-		fnCacheReprobe:       *fnCacheReprobe,
-		fnCachePeers:         *fnCachePeers,
-		fnCacheRemoteTimeout: *fnCacheRemoteTimeout,
-		loseEnclaveEvery:     *loseEvery,
-		drainTimeout:         *drainTimeout, statsAddr: *statsAddr,
+		fnCacheEntries:   *fnCacheEntries,
+		loseEnclaveEvery: *loseEvery,
+		drainTimeout:     *drainTimeout, statsAddr: *statsAddr,
 		logLevel: *logLevel, logFormat: *logFormat, traceDir: *traceDir,
 		traceRing: *traceRing, pprofOn: *pprofOn,
 		profileDir: *profileDir, profileInterval: *profileInterval,
@@ -124,10 +114,6 @@ type config struct {
 	disasmWorkers, policyWorkers            int
 	maxConcurrent, queueDepth, cacheEntries int
 	fnCacheEntries                          int
-	fnCachePath                             string
-	fnCacheReprobe                          time.Duration
-	fnCachePeers                            string
-	fnCacheRemoteTimeout                    time.Duration
 	loseEnclaveEvery                        int
 	idleTimeout, sessionBudget              time.Duration
 	drainTimeout                            time.Duration
@@ -203,26 +189,22 @@ func run(cfg config) error {
 	}
 
 	gw, err := gateway.New(gateway.Config{
-		Provider:             provider,
-		Policies:             pols,
-		HeapPages:            cfg.heapPages,
-		ClientPages:          cfg.clientPages,
-		DisasmWorkers:        cfg.disasmWorkers,
-		PolicyWorkers:        cfg.policyWorkers,
-		MaxConcurrent:        cfg.maxConcurrent,
-		QueueDepth:           cfg.queueDepth,
-		CacheEntries:         cfg.cacheEntries,
-		FnCacheEntries:       cfg.fnCacheEntries,
-		FnCachePath:          cfg.fnCachePath,
-		FnCacheReprobe:       cfg.fnCacheReprobe,
-		FnCachePeers:         splitPeers(cfg.fnCachePeers),
-		FnCacheRemoteTimeout: cfg.fnCacheRemoteTimeout,
-		LoseEnclaveEvery:     cfg.loseEnclaveEvery,
-		IdleTimeout:          cfg.idleTimeout,
-		SessionBudget:        cfg.sessionBudget,
-		Counter:              counter,
-		Logger:               logger,
-		TraceSink:            sink,
+		Provider:         provider,
+		Policies:         pols,
+		HeapPages:        cfg.heapPages,
+		ClientPages:      cfg.clientPages,
+		DisasmWorkers:    cfg.disasmWorkers,
+		PolicyWorkers:    cfg.policyWorkers,
+		MaxConcurrent:    cfg.maxConcurrent,
+		QueueDepth:       cfg.queueDepth,
+		CacheEntries:     cfg.cacheEntries,
+		FnCacheEntries:   cfg.fnCacheEntries,
+		LoseEnclaveEvery: cfg.loseEnclaveEvery,
+		IdleTimeout:      cfg.idleTimeout,
+		SessionBudget:    cfg.sessionBudget,
+		Counter:          counter,
+		Logger:           logger,
+		TraceSink:        sink,
 		OnServed: func(conn net.Conn, _ *engarde.Enclave, rep *engarde.Report, err error) {
 			// The gateway already logged the session (with its trace ID);
 			// this adds the verdict detail only a compliant report carries.
@@ -321,18 +303,6 @@ func run(cfg config) error {
 		"non_compliant", s.NonCompliant, "errors", s.Errors,
 		"cache_hit_rate", fmt.Sprintf("%.2f", s.CacheHitRate))
 	return result
-}
-
-// splitPeers parses the comma-separated -fn-cache-peers list, dropping
-// empty elements so a trailing comma is harmless.
-func splitPeers(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
 }
 
 func connString(conn net.Conn) string {

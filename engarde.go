@@ -29,6 +29,7 @@ package engarde
 
 import (
 	"crypto/rsa"
+	"errors"
 	"fmt"
 
 	"engarde/internal/attest"
@@ -72,29 +73,17 @@ type (
 	FnCache = memo.Cache
 	// FnCacheStats is a snapshot of a FnCache's hit/miss/eviction metrics.
 	FnCacheStats = memo.Stats
-	// FnCacheConfig is the full function-result cache configuration,
-	// including the disk tier's circuit breaker and filesystem hooks.
-	FnCacheConfig = memo.Config
-	// FnCacheFS abstracts the filesystem behind the fn-cache disk tier;
-	// fault-injection tests substitute internal/faults.ChaosFS.
-	FnCacheFS = memo.FS
 )
 
 // OpenFnCache builds a function-result cache: an in-process sharded LRU
-// bounded at entries (0 means the default capacity), optionally backed by
-// a persistent append log at path (empty disables the disk tier). A
-// corrupted or truncated log is not an error — the valid prefix is loaded
-// and the rest discarded, since any lost entry is merely a future cache
-// miss. Call Close to flush the disk tier on shutdown.
+// bounded at entries (0 means the default capacity). The cache lives only
+// in this process; it is never written to disk or shared with another
+// process, so path must be empty and a non-empty path is an error.
 func OpenFnCache(entries int, path string) (*FnCache, error) {
-	return memo.Open(memo.Config{Entries: entries, Path: path})
-}
-
-// OpenFnCacheWith is OpenFnCache with the full configuration surface: the
-// disk tier's circuit-breaker threshold and re-probe interval, and an
-// injectable filesystem for fault testing.
-func OpenFnCacheWith(cfg FnCacheConfig) (*FnCache, error) {
-	return memo.Open(cfg)
+	if path != "" {
+		return nil, errors.New("engarde: the function-result cache has no disk tier; path must be empty")
+	}
+	return memo.Open(memo.Config{Entries: entries})
 }
 
 // SGX instruction-set versions. EnGarde requires V2 for security (§3); V1

@@ -226,3 +226,22 @@ func TestWorkloadBenchmarksProvision(t *testing.T) {
 		t.Fatalf("429.mcf rejected: %s", rep.Reason)
 	}
 }
+
+// TestOpenFnCacheInProcessOnly pins the function-result cache to one
+// process: the path argument that once named a disk log is refused, and
+// the in-memory cache opens and closes cleanly.
+func TestOpenFnCacheInProcessOnly(t *testing.T) {
+	if _, err := OpenFnCache(0, "fn.cache"); err == nil {
+		t.Fatal("OpenFnCache accepted a disk path")
+	}
+	fc, err := OpenFnCache(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := fc.Stats(); st.Entries != 0 || st.Hits != 0 {
+		t.Fatalf("fresh cache stats %+v", st)
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatalf("Close = %v, want nil", err)
+	}
+}

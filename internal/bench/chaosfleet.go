@@ -37,10 +37,6 @@ type ChaosFleetConfig struct {
 	// semantics; zero values take gateway defaults).
 	CacheEntries  int
 	MaxConcurrent int
-	// SharedFnCache turns on every backend's function-result cache and
-	// points its remote tier at all the other backends' /memoz/, so
-	// warm-path state crosses nodes. Off, the cache is disabled.
-	SharedFnCache bool
 	// HeapPages/ClientPages size each session's enclave; 0 means 1500/512.
 	HeapPages   int
 	ClientPages int
@@ -110,8 +106,8 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 	}
 
 	f := &ChaosFleet{cfg: cfg, Client: &engarde.Client{}, routerErr: make(chan error, 1)}
-	// Admin listeners come up first: their addresses are the peers each
-	// backend's fn-cache remote tier is configured with.
+	// Admin listeners come up first, so every backend's admin address is
+	// fixed before any backend starts.
 	adminLns := make([]net.Listener, cfg.Backends)
 	for i := range adminLns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -119,10 +115,6 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			return nil, err
 		}
 		adminLns[i] = ln
-	}
-	fnEntries := -1
-	if cfg.SharedFnCache {
-		fnEntries = 0 // the gateway default capacity
 	}
 	routerBackends := make([]cluster.Backend, cfg.Backends)
 	for i := 0; i < cfg.Backends; i++ {
@@ -134,14 +126,6 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			f.Client.PlatformKey = provider.AttestationPublicKey()
 		} else {
 			f.Client.PlatformKeys = append(f.Client.PlatformKeys, provider.AttestationPublicKey())
-		}
-		var peers []string
-		if cfg.SharedFnCache {
-			for j, ln := range adminLns {
-				if j != i {
-					peers = append(peers, "http://"+ln.Addr().String()+"/memoz")
-				}
-			}
 		}
 		// An in-memory trace sink per backend makes every backend a full
 		// /tracez scrape target, so cross-process trace assertions and the
@@ -157,8 +141,7 @@ func StartChaosFleet(cfg ChaosFleetConfig) (*ChaosFleet, error) {
 			ClientPages:    cfg.ClientPages,
 			MaxConcurrent:  cfg.MaxConcurrent,
 			CacheEntries:   cfg.CacheEntries,
-			FnCacheEntries: fnEntries,
-			FnCachePeers:   peers,
+			FnCacheEntries: -1, // verdicts under chaos are checked cold
 			TraceSink:      sink,
 			// Tight deadlines: a chaos run wants sessions orphaned by a
 			// crash reaped in seconds, not the daemon's patient minutes.

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -101,57 +100,41 @@ func compareReports(t *testing.T, label string, got, want *Report, gotDelta, wan
 // count, per-phase provisioning cycle deltas, same MRENCLAVE, and an
 // attestation quote that verifies against the fresh enclave's measurement.
 // Checked across the PR-2 differential cases, randomized worker counts,
-// and the warm-path memo tiers (none, mem, disk-with-restart).
+// and the warm-path memo (none, mem).
 func TestPooledProvisionMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			image := tc.image(t)
-			for _, tier := range []string{"none", "mem", "disk"} {
+			for _, tier := range []string{"none", "mem"} {
 				t.Run(tier, func(t *testing.T) {
 					dw, pw := 1+rng.Intn(12), 1+rng.Intn(12)
 					warmDW, warmPW := 1+rng.Intn(12), 1+rng.Intn(12)
 
-					// openCache builds one memo tier; fresh and pooled sides
+					// openCache builds one warmed cache; fresh and pooled sides
 					// get their own, warmed identically (same image, same
 					// worker counts), so the measured runs see equal state.
-					openCache := func(name string) *memo.Cache {
+					openCache := func() *memo.Cache {
 						if tier == "none" {
 							return nil
 						}
-						var path string
-						if tier == "disk" {
-							path = filepath.Join(t.TempDir(), name+".cache")
-						}
-						cache, err := memo.Open(memo.Config{Entries: 1 << 12, Path: path})
+						cache, err := memo.Open(memo.Config{Entries: 1 << 12})
 						if err != nil {
 							t.Fatal(err)
 						}
-						t.Cleanup(func() { cache.Close() })
 						provisionWarm(t, image, tc.makePols(t), warmDW, warmPW, cache)
-						if tier == "disk" {
-							// Simulate a restart: only the append log survives.
-							if err := cache.Close(); err != nil {
-								t.Fatal(err)
-							}
-							cache, err = memo.Open(memo.Config{Entries: 1 << 12, Path: path})
-							if err != nil {
-								t.Fatal(err)
-							}
-							t.Cleanup(func() { cache.Close() })
-						}
 						return cache
 					}
 
 					// Fresh side: the measured build.
 					freshCfg := testConfig(tc.makePols(t))
 					freshCfg.DisasmWorkers, freshCfg.PolicyWorkers = dw, pw
-					freshCfg.FnMemo = openCache("fresh")
+					freshCfg.FnMemo = openCache()
 					fresh, _ := newEnGarde(t, freshCfg)
 					freshRep, freshDelta := provisionDelta(t, fresh, image)
 
 					// Pooled side: snapshot template once, then a clone.
-					snap := newSnapshotter(t, tc.makePols(t), dw, pw, openCache("pooled"))
+					snap := newSnapshotter(t, tc.makePols(t), dw, pw, openCache())
 					if snap.Measurement() != fresh.Measurement() {
 						t.Fatalf("clone MRENCLAVE %x, fresh %x",
 							snap.Measurement(), fresh.Measurement())

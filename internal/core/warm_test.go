@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -33,9 +32,8 @@ func provisionWarm(t *testing.T, image []byte, pols *policy.Set, disasmWorkers, 
 }
 
 // TestWarmProvisionMatchesCold is the differential property the warm path
-// rests on: provisioning through a function-result cache — freshly warmed
-// in memory, or replayed from the disk tier after a restart — yields the
-// same verdict, violation, and instruction count as a cold run, for any
+// rests on: provisioning through a function-result cache warmed in memory
+// yields the same verdict, violation, and instruction count as a cold run, for any
 // worker count. Cycle totals are deliberately NOT compared: straddle
 // handling is span-cut-dependent, so warm metering varies with worker
 // count (see EXPERIMENTS.md); only the outcome must be invariant.
@@ -46,36 +44,16 @@ func TestWarmProvisionMatchesCold(t *testing.T) {
 			image := tc.image(t)
 			cold := provisionWith(t, image, tc.makePols(t), 1, 1)
 
-			for _, tier := range []string{"mem", "disk"} {
+			for _, tier := range []string{"mem"} {
 				t.Run(tier, func(t *testing.T) {
-					var path string
-					if tier == "disk" {
-						path = filepath.Join(t.TempDir(), "fn.cache")
-					}
-					cache, err := memo.Open(memo.Config{Entries: 1 << 12, Path: path})
+					cache, err := memo.Open(memo.Config{Entries: 1 << 12})
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer func() { cache.Close() }()
 
 					// Warming pass under randomized seams populates the cache
 					// (passing functions only; violations are never memoized).
 					provisionWarm(t, image, tc.makePols(t), 1+rng.Intn(12), 1+rng.Intn(12), cache)
-
-					if tier == "disk" {
-						// Simulate a gatewayd restart: the warm runs below must
-						// see only what the append log replays.
-						if err := cache.Close(); err != nil {
-							t.Fatal(err)
-						}
-						cache, err = memo.Open(memo.Config{Entries: 1 << 12, Path: path})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if st := cache.Stats(); tc.name == "compliant-full-set" && st.DiskLoaded == 0 {
-							t.Fatal("disk tier replayed nothing for a compliant warming pass")
-						}
-					}
 
 					for i := 0; i < 3; i++ {
 						dw, pw := 1+rng.Intn(12), 1+rng.Intn(12)

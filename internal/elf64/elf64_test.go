@@ -10,7 +10,7 @@ import (
 
 // buildTestPIE constructs a small but complete PIE image: .text, .data,
 // .bss, .dynamic, .rela.dyn, symbols.
-func buildTestPIE(t *testing.T, text, data []byte) []byte {
+func buildTestPIE(t testing.TB, text, data []byte) []byte {
 	t.Helper()
 	const (
 		textAddr = 0x1000

@@ -1,9 +1,8 @@
 // Package faults is the deterministic fault-injection layer behind the
 // gateway's resilience tests: seeded wrappers that make a connection or a
-// filesystem misbehave in all the ways production infrastructure does —
-// latency spikes, partial reads and writes, truncated streams, bit-flips,
-// stalls, and disk I/O errors — at configurable probabilities or scripted
-// trigger points.
+// process misbehave in all the ways production infrastructure does —
+// latency spikes, partial reads and writes, truncated streams, bit-flips
+// and stalls — at configurable probabilities or scripted trigger points.
 //
 // Everything is driven by a Schedule: the same seed replays the same fault
 // sequence (given the same operation order), so a failure found by the

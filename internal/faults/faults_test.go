@@ -5,8 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -186,41 +184,5 @@ func TestChaosConnStallDelays(t *testing.T) {
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("stalled read returned after %v, want >= ~30ms", d)
-	}
-}
-
-func TestChaosFSScriptedFailures(t *testing.T) {
-	fs := WrapFS(nil, Schedule{})
-	path := filepath.Join(t.TempDir(), "f")
-
-	fs.FailNextOpens(1)
-	if _, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644); !errors.Is(err, ErrInjected) {
-		t.Fatalf("open error = %v, want ErrInjected", err)
-	}
-	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	fs.FailNextWrites(2)
-	for i := 0; i < 2; i++ {
-		if _, err := f.Write([]byte("x")); !errors.Is(err, ErrInjected) {
-			t.Fatalf("write %d error = %v, want ErrInjected", i, err)
-		}
-	}
-	if _, err := f.Write([]byte("x")); err != nil {
-		t.Fatalf("write after faults drained: %v", err)
-	}
-
-	fs.FailNextRenames(1)
-	if err := fs.Rename(path, path+"2"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("rename error = %v, want ErrInjected", err)
-	}
-	if err := fs.Rename(path, path+"2"); err != nil {
-		t.Fatalf("rename after faults drained: %v", err)
-	}
-	if got := fs.Faults.Load(); got != 4 {
-		t.Fatalf("Faults = %d, want 4", got)
 	}
 }

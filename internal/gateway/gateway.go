@@ -45,7 +45,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +52,6 @@ import (
 	"engarde"
 	"engarde/internal/cycles"
 	"engarde/internal/obs"
-	"engarde/internal/policy/memo"
 	"engarde/internal/secchan"
 )
 
@@ -113,29 +111,6 @@ type Config struct {
 	// 0 means the memo package's default capacity; negative disables the
 	// cache entirely.
 	FnCacheEntries int
-	// FnCachePath, when non-empty, backs the function-result cache with a
-	// persistent append log so restarts provision warm. Ignored when
-	// FnCacheEntries is negative.
-	FnCachePath string
-	// FnCacheReprobe overrides how long the fn-cache disk tier's circuit
-	// breaker stays open before re-probing the disk; 0 means the memo
-	// package default.
-	FnCacheReprobe time.Duration
-	// FnCacheFS overrides the filesystem behind the fn-cache disk tier
-	// (fault injection in tests); nil means the real one.
-	FnCacheFS engarde.FnCacheFS
-	// FnCachePeers, when non-empty, enables the fn-cache remote tier:
-	// base URLs of peer gatewayd /memoz endpoints to batch-fetch memoized
-	// outcomes from (and asynchronously push fresh ones to). The tier
-	// sits behind its own circuit breaker, so a sick peer degrades the
-	// gateway to local tiers, never blocks or corrupts a provision.
-	FnCachePeers []string
-	// FnCacheRemoteTimeout bounds one peer round-trip; 0 means the memo
-	// package default.
-	FnCacheRemoteTimeout time.Duration
-	// FnCacheRemoteClient overrides the HTTP client used for peer calls
-	// (fault injection in tests wraps its transport in faults.ChaosConn).
-	FnCacheRemoteClient *http.Client
 
 	// LoseEnclaveEvery, when positive, is a failure-injection drill: every
 	// Nth session's enclave has its EPC pages reclaimed (EREMOVE-style)
@@ -269,17 +244,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.cache = newVerdictCache(cfg.CacheEntries)
 	}
 	if cfg.FnCacheEntries >= 0 {
-		fc, err := engarde.OpenFnCacheWith(engarde.FnCacheConfig{
-			Entries:         cfg.FnCacheEntries,
-			Path:            cfg.FnCachePath,
-			FS:              cfg.FnCacheFS,
-			ReprobeInterval: cfg.FnCacheReprobe,
-			Remote: memo.RemoteConfig{
-				Peers:   cfg.FnCachePeers,
-				Timeout: cfg.FnCacheRemoteTimeout,
-				Client:  cfg.FnCacheRemoteClient,
-			},
-		})
+		fc, err := engarde.OpenFnCache(cfg.FnCacheEntries, "")
 		if err != nil {
 			return nil, fmt.Errorf("gateway: opening function-result cache: %w", err)
 		}
@@ -409,7 +374,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		g.closeFnCache()
 		return nil
 	case <-ctx.Done():
 		// Force-close in-flight sessions and discard anything still queued;
@@ -430,20 +394,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 			break
 		}
 		<-done
-		g.closeFnCache()
 		return ctx.Err()
-	}
-}
-
-// closeFnCache flushes the function-result cache's disk tier once every
-// worker has drained (Cache.Close is idempotent, so repeated Shutdown
-// calls are harmless).
-func (g *Gateway) closeFnCache() {
-	if g.fnCache == nil {
-		return
-	}
-	if err := g.fnCache.Close(); err != nil {
-		g.log.Error("gateway: closing function-result cache", "err", err)
 	}
 }
 

@@ -137,30 +137,6 @@ func newMetrics(g *Gateway) *metrics {
 		reg.GaugeFunc("engarde_gateway_fn_cache_resident_bytes",
 			"Payload bytes resident in the function-result cache.",
 			func() float64 { return float64(g.fnCache.Stats().Bytes) })
-		if g.fnCache.RemoteEnabled() {
-			reg.CounterFunc("engarde_gateway_fn_cache_remote_lookups_total",
-				"Function results batch-fetched from fleet peers, by result.",
-				func() uint64 { return g.fnCache.Stats().RemoteHits },
-				obs.Label{Key: "result", Value: "hit"})
-			reg.CounterFunc("engarde_gateway_fn_cache_remote_lookups_total", "",
-				func() uint64 { return g.fnCache.Stats().RemoteMisses },
-				obs.Label{Key: "result", Value: "miss"})
-			reg.CounterFunc("engarde_gateway_fn_cache_remote_faults_total",
-				"Failed or corrupt peer exchanges (feeds the remote circuit breaker).",
-				func() uint64 { return g.fnCache.Stats().RemoteFaults })
-			reg.CounterFunc("engarde_gateway_fn_cache_remote_trips_total",
-				"Remote-tier circuit-breaker trips.",
-				func() uint64 { return g.fnCache.Stats().RemoteTrips })
-			reg.CounterFunc("engarde_gateway_fn_cache_remote_puts_total",
-				"Function results pushed to fleet peers.",
-				func() uint64 { return g.fnCache.Stats().RemotePuts })
-		}
-		reg.CounterFunc("engarde_gateway_fn_cache_peer_served_total",
-			"Function results served to fleet peers over /memoz.",
-			func() uint64 { return g.fnCache.Stats().PeerServed })
-		reg.CounterFunc("engarde_gateway_fn_cache_peer_stored_total",
-			"Function results stored on behalf of fleet peers over /memoz.",
-			func() uint64 { return g.fnCache.Stats().PeerStored })
 	}
 	if g.counter != nil {
 		for _, p := range cycles.AllPhases() {

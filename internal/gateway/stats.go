@@ -6,7 +6,6 @@ import (
 
 	"engarde"
 	"engarde/internal/obs"
-	"engarde/internal/policy/memo"
 )
 
 // numLatencyBuckets covers sessions up to ~2^20 ms (≈17 min) with
@@ -129,9 +128,8 @@ func (g *Gateway) Stats() Stats {
 }
 
 // AdminHandler returns a fresh mux serving the gateway's whole admin
-// surface: /statsz, /metricsz, /healthz, /readyz, /memoz/ (the fn-cache
-// peer protocol) and /tracez (Config.TraceSink's ring; 404 without a
-// sink). Every process that fronts a gateway mounts this one mux, so
+// surface: /statsz, /metricsz, /healthz, /readyz and /tracez
+// (Config.TraceSink's ring; 404 without a sink). Every process that fronts a gateway mounts this one mux, so
 // tests and daemons serve the same paths; callers may add their own
 // routes (pprof) to it.
 func (g *Gateway) AdminHandler() *http.ServeMux {
@@ -140,7 +138,6 @@ func (g *Gateway) AdminHandler() *http.ServeMux {
 	mux.Handle("/metricsz", g.MetricsHandler())
 	mux.Handle("/healthz", g.HealthzHandler())
 	mux.Handle("/readyz", g.ReadyzHandler())
-	mux.Handle("/memoz/", g.FnMemoHandler())
 	tracez := http.NotFoundHandler()
 	if g.cfg.TraceSink != nil {
 		tracez = g.cfg.TraceSink.Handler()
@@ -193,14 +190,4 @@ func (g *Gateway) ReadyzHandler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ready\n"))
 	})
-}
-
-// FnMemoHandler serves the function-result cache's peer protocol (batch
-// get/put of memoized outcomes) so fleet peers can share warm-path state.
-// Mount it at /memoz/. Returns 404s when the cache is disabled.
-func (g *Gateway) FnMemoHandler() http.Handler {
-	if g.fnCache == nil {
-		return http.NotFoundHandler()
-	}
-	return memo.Handler(g.fnCache)
 }

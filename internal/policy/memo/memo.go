@@ -28,20 +28,18 @@
 // eviction or payload-format drift can cost cycles but never change a
 // verdict.
 //
-// # Tiers
+// # One tier
 //
-// The cache has two tiers: an in-process sharded bounded LRU, shared across
-// all gateway enclaves, and an optional disk-backed tier — a length-prefixed
-// append log with per-record checksums — so a restarted gatewayd starts
-// warm. Loading tolerates truncation and corruption: the log is replayed up
-// to the first bad record and the rest is discarded.
+// The cache is one in-process sharded bounded LRU, shared across all of a
+// gateway's enclaves. It is never persisted and never shared with another
+// process: function digests are unkeyed SHA-256 of client content, so they
+// live only in the process that computed them.
 package memo
 
 import (
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Key addresses one memoized per-function outcome: the content identity of
@@ -63,25 +61,6 @@ const DefaultEntries = 1 << 16
 type Config struct {
 	// Entries bounds the in-process LRU; 0 means DefaultEntries.
 	Entries int
-	// Path, when non-empty, enables the disk tier: outcomes are appended to
-	// the log at Path and replayed on Open.
-	Path string
-	// FS overrides the filesystem behind the disk tier (fault injection in
-	// tests); nil means the real OS filesystem.
-	FS FS
-	// BreakerThreshold is the number of consecutive disk-append failures
-	// that trips the disk tier's circuit breaker, degrading the cache to
-	// memory-only. 0 means DefaultBreakerThreshold; negative trips on the
-	// first failure.
-	BreakerThreshold int
-	// ReprobeInterval is how long the tripped breaker waits before probing
-	// the disk again (via a crash-safe temp-file+rename log rewrite).
-	// 0 means DefaultReprobeInterval.
-	ReprobeInterval time.Duration
-	// Remote configures the optional peer tier (remote.go): batch gets from
-	// fleet peers between the LRU and the disk log, async puts back to them.
-	// An empty Peers list disables it.
-	Remote RemoteConfig
 }
 
 // Stats is a point-in-time snapshot of cache metrics.
@@ -92,55 +71,19 @@ type Stats struct {
 	Entries   int    `json:"entries"`
 	// Bytes is the resident payload bytes (keys excluded).
 	Bytes uint64 `json:"bytes"`
-	// DiskLoaded counts records replayed from the disk tier at Open.
-	DiskLoaded uint64 `json:"disk_loaded,omitempty"`
-	// DiskDroppedBytes counts trailing log bytes discarded at Open because
-	// of truncation or corruption.
-	DiskDroppedBytes uint64 `json:"disk_dropped_bytes,omitempty"`
-	// DiskFaults counts disk-tier I/O errors (failed appends and probes).
-	DiskFaults uint64 `json:"disk_faults,omitempty"`
-	// DiskSkipped counts appends dropped while the breaker was open.
-	DiskSkipped uint64 `json:"disk_skipped,omitempty"`
-	// BreakerTrips counts closed→open breaker transitions.
-	BreakerTrips uint64 `json:"breaker_trips,omitempty"`
-	// BreakerOpen reports whether the disk tier is currently suspended
-	// (cache running memory-only).
-	BreakerOpen bool `json:"breaker_open,omitempty"`
-	// DiskRewrites counts successful crash-safe log rewrites (re-probes
-	// that closed the breaker).
-	DiskRewrites uint64 `json:"disk_rewrites,omitempty"`
-	// Remote-tier client counters: this node asking fleet peers.
-	RemoteHits       uint64 `json:"remote_hits,omitempty"`
-	RemoteMisses     uint64 `json:"remote_misses,omitempty"`
-	RemoteFaults     uint64 `json:"remote_faults,omitempty"`
-	RemoteSkipped    uint64 `json:"remote_skipped,omitempty"`
-	RemoteTrips      uint64 `json:"remote_trips,omitempty"`
-	RemoteOpen       bool   `json:"remote_open,omitempty"`
-	RemotePuts       uint64 `json:"remote_puts,omitempty"`
-	RemotePutDropped uint64 `json:"remote_put_dropped,omitempty"`
-	// Peer-serving counters: fleet peers asking this node (/memoz).
-	PeerGets   uint64 `json:"peer_gets,omitempty"`
-	PeerServed uint64 `json:"peer_served,omitempty"`
-	PeerStored uint64 `json:"peer_stored,omitempty"`
 }
 
-// Cache is the process-wide function-result cache: a sharded bounded LRU
-// with an optional disk tier. It is safe for concurrent use; payloads
-// returned by Get are shared and must not be mutated.
+// Cache is the process-wide function-result cache: a sharded bounded LRU.
+// It is safe for concurrent use; payloads returned by Get are shared and
+// must not be mutated.
 type Cache struct {
 	shards [numShards]shard
-	disk   *diskTier
-	remote *remoteTier
 
 	hits, misses, evictions, bytes atomic.Uint64
-	diskLoaded, diskDropped        atomic.Uint64
-
-	peerGets, peerServed, peerStored atomic.Uint64
 }
 
-// Open builds the cache, replaying the disk tier when configured. A
-// malformed or truncated log is not an error: the valid prefix is loaded
-// and the file is truncated back to it so subsequent appends are readable.
+// Open builds the cache. It never fails; the error result keeps the
+// constructor's signature stable for callers.
 func Open(cfg Config) (*Cache, error) {
 	entries := cfg.Entries
 	if entries <= 0 {
@@ -153,23 +96,6 @@ func Open(cfg Config) (*Cache, error) {
 	}
 	for i := range c.shards {
 		c.shards[i].init(perShard)
-	}
-	if cfg.Path != "" {
-		if cfg.FS == nil {
-			cfg.FS = OSFS
-		}
-		disk, loaded, dropped, err := openDiskTier(cfg, cfg.FS, c.dump, func(k Key, payload []byte) {
-			c.insert(k, payload, false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.disk = disk
-		c.diskLoaded.Store(loaded)
-		c.diskDropped.Store(dropped)
-	}
-	if len(cfg.Remote.Peers) > 0 {
-		c.remote = newRemoteTier(cfg.Remote)
 	}
 	return c, nil
 }
@@ -187,53 +113,17 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 }
 
 // Put memoizes a passing outcome, evicting the least recently used entry of
-// the key's shard at capacity, and appends it to the disk tier when one is
-// configured.
+// the key's shard at capacity.
 func (c *Cache) Put(k Key, payload []byte) {
-	if !c.insert(k, payload, true) {
-		return // already present; nothing new to persist
-	}
-	if c.disk != nil {
-		c.disk.append(k, payload)
-	}
-	if c.remote != nil {
-		c.remote.enqueuePut(Record{Key: k, Payload: payload})
-	}
-}
-
-// FetchRemote asks the fleet peers for the given keys in one batch and
-// installs whatever comes back into the in-process LRU (memory-only —
-// peer-fetched records are the peer's history, not this node's). It
-// returns the installed records; remote trouble returns nil, never an
-// error, and costs at most one bounded round-trip behind the breaker.
-func (c *Cache) FetchRemote(keys []Key) []Record {
-	if c.remote == nil || len(keys) == 0 {
-		return nil
-	}
-	recs := c.remote.fetch(keys)
-	for _, rec := range recs {
-		c.insert(rec.Key, rec.Payload, false)
-	}
-	return recs
-}
-
-// RemoteEnabled reports whether a peer tier is configured.
-func (c *Cache) RemoteEnabled() bool { return c.remote != nil }
-
-// insert adds k to the LRU; fresh reports whether the key was new.
-func (c *Cache) insert(k Key, payload []byte, countEvictions bool) (fresh bool) {
 	added, evictedBytes, evicted := c.shards[shardOf(k)].put(k, payload)
 	if !added {
-		return false
+		return
 	}
 	c.bytes.Add(uint64(len(payload)))
 	if evicted > 0 {
 		c.bytes.Add(^(evictedBytes - 1)) // atomic subtract
-		if countEvictions {
-			c.evictions.Add(uint64(evicted))
-		}
+		c.evictions.Add(uint64(evicted))
 	}
-	return true
 }
 
 // Len returns the number of resident entries.
@@ -247,47 +137,18 @@ func (c *Cache) Len() int {
 
 // Stats snapshots the cache metrics.
 func (c *Cache) Stats() Stats {
-	st := Stats{
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		Evictions:        c.evictions.Load(),
-		Entries:          c.Len(),
-		Bytes:            c.bytes.Load(),
-		DiskLoaded:       c.diskLoaded.Load(),
-		DiskDroppedBytes: c.diskDropped.Load(),
+	return Stats{
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   c.Len(),
+		Bytes:     c.bytes.Load(),
 	}
-	if c.disk != nil {
-		c.disk.fillStats(&st)
-	}
-	if c.remote != nil {
-		c.remote.fillStats(&st)
-	}
-	st.PeerGets = c.peerGets.Load()
-	st.PeerServed = c.peerServed.Load()
-	st.PeerStored = c.peerStored.Load()
-	return st
 }
 
-// dump snapshots every resident entry, least recently used first within
-// each shard, so a log rewritten from it replays back with recency intact.
-func (c *Cache) dump() []Record {
-	var out []Record
-	for i := range c.shards {
-		c.shards[i].appendAll(&out)
-	}
-	return out
-}
-
-// Close flushes and closes the disk and remote tiers, if any.
-func (c *Cache) Close() error {
-	if c.remote != nil {
-		c.remote.close()
-	}
-	if c.disk == nil {
-		return nil
-	}
-	return c.disk.close()
-}
+// Close releases nothing: the cache holds no file or connection. It is
+// kept, returning nil, so existing callers compile unchanged.
+func (c *Cache) Close() error { return nil }
 
 // numShards spreads lock contention across gateway workers; keys are
 // uniform (SHA-256), so the low byte balances shards well.
@@ -354,14 +215,6 @@ func (s *shard) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-func (s *shard) appendAll(out *[]Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for e := s.tail; e != nil; e = e.prev {
-		*out = append(*out, Record{Key: e.key, Payload: e.payload})
-	}
 }
 
 func (s *shard) pushFront(e *lruEntry) {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -87,200 +85,5 @@ func TestPutExistingRefreshesRecency(t *testing.T) {
 	c.Put(d, []byte("d"))
 	if _, ok := c.Get(b); ok {
 		t.Fatal("b should have been evicted (a was refreshed by Put)")
-	}
-}
-
-func TestDiskTierRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fn.cache")
-	c, err := Open(Config{Entries: 128, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []Key
-	for i := 0; i < 10; i++ {
-		k := keyIn(i, i)
-		keys = append(keys, k)
-		c.Put(k, []byte(fmt.Sprintf("payload-%d", i)))
-	}
-	c.Put(keyIn(0, 100), nil) // empty payloads round-trip too
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := Open(Config{Entries: 128, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	st := warm.Stats()
-	if st.DiskLoaded != 11 || st.DiskDroppedBytes != 0 {
-		t.Fatalf("loaded %d records (dropped %d bytes), want 11 (0)", st.DiskLoaded, st.DiskDroppedBytes)
-	}
-	for i, k := range keys {
-		got, ok := warm.Get(k)
-		if !ok || string(got) != fmt.Sprintf("payload-%d", i) {
-			t.Fatalf("key %d: Get = %q, %v after reopen", i, got, ok)
-		}
-	}
-	if p, ok := warm.Get(keyIn(0, 100)); !ok || len(p) != 0 {
-		t.Fatalf("empty payload: Get = %v, %v", p, ok)
-	}
-}
-
-func TestDiskTierReplayDoesNotCountEvictions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fn.cache")
-	c, err := Open(Config{Entries: 1 << 10, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		c.Put(keyIn(i%numShards, i), []byte{byte(i)})
-	}
-	c.Close()
-
-	// Reopen with a tiny capacity: replay overflows the LRU, but those
-	// drops are a capacity choice, not runtime eviction pressure.
-	warm, err := Open(Config{Entries: numShards, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	if st := warm.Stats(); st.Evictions != 0 {
-		t.Fatalf("replay counted %d evictions, want 0", st.Evictions)
-	}
-}
-
-// corrupt writes a valid log, then mangles it with mutate, then asserts
-// the reopen loads exactly wantLoaded records and the survivors hit.
-func corruptionCase(t *testing.T, mutate func([]byte) []byte, wantLoaded uint64) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "fn.cache")
-	c, err := Open(Config{Entries: 128, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		c.Put(keyIn(i, i), []byte(fmt.Sprintf("payload-%d", i)))
-	}
-	c.Close()
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, mutate(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := Open(Config{Entries: 128, Path: path})
-	if err != nil {
-		t.Fatalf("corrupted log must open cold, not fail: %v", err)
-	}
-	st := warm.Stats()
-	if st.DiskLoaded != wantLoaded {
-		t.Fatalf("loaded %d records, want %d", st.DiskLoaded, wantLoaded)
-	}
-	for i := uint64(0); i < wantLoaded; i++ {
-		if _, ok := warm.Get(keyIn(int(i), int(i))); !ok {
-			t.Fatalf("record %d should have survived", i)
-		}
-	}
-	// The file was truncated back to the good prefix, so appends after a
-	// corrupted load must round-trip.
-	k := keyIn(9, 999)
-	warm.Put(k, []byte("fresh"))
-	warm.Close()
-	again, err := Open(Config{Entries: 128, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Close()
-	if st := again.Stats(); st.DiskDroppedBytes != 0 {
-		t.Fatalf("re-reopen dropped %d bytes; truncation after corruption left garbage", st.DiskDroppedBytes)
-	}
-	if _, ok := again.Get(k); !ok {
-		t.Fatal("append after corrupted load did not persist")
-	}
-}
-
-func TestDiskTierTruncatedMidRecord(t *testing.T) {
-	corruptionCase(t, func(raw []byte) []byte {
-		return raw[:len(raw)-7] // cut into the last record
-	}, 4)
-}
-
-func TestDiskTierCorruptedChecksum(t *testing.T) {
-	corruptionCase(t, func(raw []byte) []byte {
-		raw[len(raw)-1] ^= 0xFF // flip a bit in the final record's CRC
-		return raw
-	}, 4)
-}
-
-func TestDiskTierCorruptedMidFile(t *testing.T) {
-	corruptionCase(t, func(raw []byte) []byte {
-		raw[len(raw)/2] ^= 0xFF // damage a record in the middle: suffix is lost
-		return raw
-	}, 2)
-}
-
-func TestDiskTierBadMagic(t *testing.T) {
-	corruptionCase(t, func(raw []byte) []byte {
-		raw[0] = 'X'
-		return raw
-	}, 0)
-}
-
-func TestDiskTierEmptyAndAlienFiles(t *testing.T) {
-	for name, content := range map[string][]byte{
-		"empty": {},
-		"alien": []byte("this is not a cache file at all"),
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "fn.cache")
-			if err := os.WriteFile(path, content, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			c, err := Open(Config{Entries: 16, Path: path})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			if st := c.Stats(); st.DiskLoaded != 0 {
-				t.Fatalf("loaded %d records from %s file", st.DiskLoaded, name)
-			}
-			k := keyIn(1, 1)
-			c.Put(k, []byte("x"))
-			c.Close()
-			warm, err := Open(Config{Entries: 16, Path: path})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer warm.Close()
-			if _, ok := warm.Get(k); !ok {
-				t.Fatal("rewritten log did not persist the entry")
-			}
-		})
-	}
-}
-
-func TestOversizedPayloadSkipsDisk(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fn.cache")
-	c, err := Open(Config{Entries: 16, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := make([]byte, maxRecordBody) // > maxRecordBody-keyBytes
-	k := keyIn(2, 2)
-	c.Put(k, big)
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("oversized payload must still be served from memory")
-	}
-	c.Close()
-	warm, err := Open(Config{Entries: 16, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	if _, ok := warm.Get(k); ok {
-		t.Fatal("oversized payload should not have been persisted")
 	}
 }

@@ -91,30 +91,9 @@ func (s *Session) NumFuncs() int { return len(s.spans) }
 // safe for concurrent use; call it from the module's serial prologue.
 func (s *Session) Probe(moduleFP [sha256.Size]byte) int {
 	hits := make(map[uint64][]byte)
-	var missing []Key
 	for i := range s.spans {
 		if payload, ok := s.cache.Get(Key{Fn: s.spans[i].Digest, Module: moduleFP}); ok {
 			hits[s.spans[i].Addr] = payload
-		} else if s.cache.RemoteEnabled() {
-			missing = append(missing, Key{Fn: s.spans[i].Digest, Module: moduleFP})
-		}
-	}
-	if len(missing) > 0 {
-		// One batch round-trip to the fleet peers for everything the local
-		// tiers missed. The remote tier is bounded and breaker-guarded, so a
-		// sick fleet costs at most one timeout here, never a wrong hit: the
-		// payloads still go through module revalidation like any local hit.
-		byDigest := make(map[[sha256.Size]byte]uint64, len(missing))
-		for i := range s.spans {
-			byDigest[s.spans[i].Digest] = s.spans[i].Addr
-		}
-		for _, rec := range s.cache.FetchRemote(missing) {
-			if rec.Key.Module != moduleFP {
-				continue
-			}
-			if addr, ok := byDigest[rec.Key.Fn]; ok {
-				hits[addr] = rec.Payload
-			}
 		}
 	}
 	s.hits[moduleFP] = hits
