@@ -19,7 +19,6 @@ package engarde_test
 // the stack-protection scan strategy.
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -27,14 +26,9 @@ import (
 	"engarde/internal/core"
 	"engarde/internal/cycles"
 	"engarde/internal/elf64"
-	"engarde/internal/nacl"
 	"engarde/internal/policy"
-	"engarde/internal/policy/ifcc"
-	"engarde/internal/policy/liblink"
-	"engarde/internal/policy/noforbidden"
 	"engarde/internal/policy/stackprot"
 	"engarde/internal/sgx"
-	"engarde/internal/symtab"
 	"engarde/internal/toolchain"
 	"engarde/internal/workload"
 	"engarde/internal/x86"
@@ -323,59 +317,6 @@ func BenchmarkProvisionWallClock(b *testing.B) {
 		if !rep.Compliant {
 			b.Fatal(rep.Reason)
 		}
-	}
-}
-
-// BenchmarkParallelPipeline measures the wall-clock effect of sharding the
-// two check phases — disassembly (decode + bundle + branch-target passes)
-// and policy evaluation (all four modules) — over a large client, at 1, 2,
-// 4 and 8 workers. Worker count 1 is the sequential baseline; the model
-// cycle totals are identical at every count (asserted by the differential
-// tests), so this benchmark isolates the real-time speedup.
-func BenchmarkParallelPipeline(b *testing.B) {
-	bin, err := toolchain.Build(toolchain.Config{
-		Name: "par", Seed: 83, NumFuncs: 120, AvgFuncInsts: 220,
-		LibcCallRate: 0.05, StackProtector: true, IFCC: true, IndirectRate: 0.02,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := elf64.Parse(bin.Image)
-	if err != nil {
-		b.Fatal(err)
-	}
-	text := f.TextSections()[0]
-	tab, err := symtab.FromELF(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The client is stack-protected, so the approved-library database must
-	// come from the canary-instrumented musl build.
-	db, err := toolchain.MuslHashDB(toolchain.MuslV105, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pols := policy.NewSet(noforbidden.New(), liblink.New("musl-1.0.5", db),
-		stackprot.New(), ifcc.New())
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(text.Data)))
-			for i := 0; i < b.N; i++ {
-				ctr := cycles.NewCounter(cycles.DefaultModel())
-				prog, err := nacl.DecodeProgramTraced(text.Data, text.Addr, ctr, workers, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := prog.CheckReachability(f.Header.Entry, tab); err != nil {
-					b.Fatal(err)
-				}
-				pctx := &policy.Context{Program: prog, Symbols: tab, Counter: ctr}
-				if err := pols.CheckParallel(pctx, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

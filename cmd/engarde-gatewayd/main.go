@@ -60,9 +60,6 @@ func main() {
 		clientPages = flag.Int("client-pages", 1024, "enclave client-region pages per tenant")
 		sgxv1       = flag.Bool("sgxv1", false, "emulate SGX version 1 (insecure; for the AsyncShock demo)")
 
-		disasmWorkers = flag.Int("disasm-workers", 0, "workers sharding each session's disassembly pass (0 = GOMAXPROCS, 1 = sequential)")
-		policyWorkers = flag.Int("policy-workers", 0, "workers sharding each session's policy checks (0 = GOMAXPROCS, 1 = sequential)")
-
 		maxConcurrent = flag.Int("max-concurrent", gateway.DefaultMaxConcurrent, "maximum enclaves in flight (worker-pool size)")
 		queueDepth    = flag.Int("queue-depth", 0, "connections allowed to wait for a worker (0 = 2x max-concurrent, negative = none)")
 		cacheEntries  = flag.Int("cache-entries", gateway.DefaultCacheEntries, "verdict cache capacity (negative disables caching)")
@@ -90,7 +87,6 @@ func main() {
 	if err := run(config{
 		listen: *listen, policies: *policies, keyOut: *keyOut,
 		heapPages: *heapPages, clientPages: *clientPages, sgxv1: *sgxv1,
-		disasmWorkers: *disasmWorkers, policyWorkers: *policyWorkers,
 		maxConcurrent: *maxConcurrent, queueDepth: *queueDepth,
 		cacheEntries: *cacheEntries,
 		idleTimeout:  *idleTimeout, sessionBudget: *sessionBudget,
@@ -111,7 +107,6 @@ type config struct {
 	heapPages, clientPages   int
 	sgxv1                    bool
 
-	disasmWorkers, policyWorkers            int
 	maxConcurrent, queueDepth, cacheEntries int
 	fnCacheEntries                          int
 	loseEnclaveEvery                        int
@@ -193,8 +188,6 @@ func run(cfg config) error {
 		Policies:         pols,
 		HeapPages:        cfg.heapPages,
 		ClientPages:      cfg.clientPages,
-		DisasmWorkers:    cfg.disasmWorkers,
-		PolicyWorkers:    cfg.policyWorkers,
 		MaxConcurrent:    cfg.maxConcurrent,
 		QueueDepth:       cfg.queueDepth,
 		CacheEntries:     cfg.cacheEntries,

@@ -58,8 +58,8 @@ type (
 	// Report is the outcome of a provisioning attempt.
 	Report = core.Report
 	// StagedImage is an executable received by the streaming pipeline:
-	// plaintext plus an incrementally computed digest and an in-flight
-	// speculative decode (see ServeProvisionFunc).
+	// plaintext plus an incrementally computed digest (see
+	// ServeProvisionFunc).
 	StagedImage = core.StagedImage
 	// Measurement is an enclave measurement (MRENCLAVE).
 	Measurement = sgx.Measurement
@@ -140,12 +140,6 @@ type EnclaveConfig struct {
 	// the paper's modified OpenSGX: 5000 heap pages).
 	HeapPages   int
 	ClientPages int
-	// DisasmWorkers / PolicyWorkers shard the provisioning pipeline's
-	// disassembly and policy-checking passes; 0 means GOMAXPROCS, 1 forces
-	// the sequential paths. Verdicts and cycle accounting are identical
-	// for any worker count.
-	DisasmWorkers int
-	PolicyWorkers int
 	// FnCache, when non-nil, enables warm-path provisioning: per-function
 	// policy outcomes are memoized in (and reused from) this cache, keyed
 	// by function content digest × module fingerprint. Verdicts are
@@ -226,16 +220,14 @@ type Enclave struct {
 // bootstrap and the agreed policy modules.
 func (p *Provider) CreateEnclave(cfg EnclaveConfig) (*Enclave, error) {
 	g, err := core.NewOnDevice(core.Config{
-		Version:       p.cfg.Version,
-		EPCPages:      p.cfg.EPCPages,
-		HeapPages:     cfg.HeapPages,
-		ClientPages:   cfg.ClientPages,
-		Policies:      cfg.Policies,
-		Counter:       p.cfg.Counter,
-		DisasmWorkers: cfg.DisasmWorkers,
-		PolicyWorkers: cfg.PolicyWorkers,
-		FnMemo:        cfg.FnCache,
-		Trace:         cfg.Trace,
+		Version:     p.cfg.Version,
+		EPCPages:    p.cfg.EPCPages,
+		HeapPages:   cfg.HeapPages,
+		ClientPages: cfg.ClientPages,
+		Policies:    cfg.Policies,
+		Counter:     p.cfg.Counter,
+		FnMemo:      cfg.FnCache,
+		Trace:       cfg.Trace,
 	}, p.dev)
 	if err != nil {
 		return nil, err
@@ -258,15 +250,13 @@ type EnclaveSnapshot struct {
 // one-time measured-build cost is charged to the provider's counter.
 func (p *Provider) NewEnclaveSnapshot(cfg EnclaveConfig) (*EnclaveSnapshot, error) {
 	s, err := core.NewSnapshotter(core.Config{
-		Version:       p.cfg.Version,
-		EPCPages:      p.cfg.EPCPages,
-		HeapPages:     cfg.HeapPages,
-		ClientPages:   cfg.ClientPages,
-		Policies:      cfg.Policies,
-		Counter:       p.cfg.Counter,
-		DisasmWorkers: cfg.DisasmWorkers,
-		PolicyWorkers: cfg.PolicyWorkers,
-		FnMemo:        cfg.FnCache,
+		Version:     p.cfg.Version,
+		EPCPages:    p.cfg.EPCPages,
+		HeapPages:   cfg.HeapPages,
+		ClientPages: cfg.ClientPages,
+		Policies:    cfg.Policies,
+		Counter:     p.cfg.Counter,
+		FnMemo:      cfg.FnCache,
 	}, p.dev)
 	if err != nil {
 		return nil, err
@@ -342,9 +332,8 @@ func (e *Enclave) Provision(image []byte) (*Report, error) {
 	return e.core.Provision(image)
 }
 
-// ProvisionStaged runs the pipeline over a streamed image, adopting its
-// speculative decode when it verifiably matches the parsed text section.
-// Verdicts and cycle charges are identical to Provision(st.Image).
+// ProvisionStaged runs the pipeline over a streamed image. Verdicts and
+// cycle charges are identical to Provision(st.Image).
 func (e *Enclave) ProvisionStaged(st *StagedImage) (*Report, error) {
 	return e.core.ProvisionStaged(st)
 }

@@ -95,9 +95,7 @@ type ledgerRow struct {
 }
 
 // runLedger provisions exp's client build of spec twice through one
-// function-result cache. Both runs are sequential (one disassembly and
-// one policy worker), because warm metering depends on where parallel
-// shards cut. The warm verdict must equal the cold one.
+// function-result cache. The warm verdict must equal the cold one.
 func runLedger(exp Experiment, spec workload.Spec) (ledgerRow, error) {
 	bin, err := spec.Build(exp.Variant())
 	if err != nil {
@@ -112,7 +110,7 @@ func runLedger(exp Experiment, spec workload.Spec) (ledgerRow, error) {
 		return ledgerRow{}, err
 	}
 	defer cache.Close()
-	cfg := core.Config{Policies: pols, FnMemo: cache, DisasmWorkers: 1, PolicyWorkers: 1}
+	cfg := core.Config{Policies: pols, FnMemo: cache}
 	var (
 		verdicts [2]string
 		policy   [2]uint64

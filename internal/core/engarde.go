@@ -30,6 +30,7 @@ import (
 	"engarde/internal/funcid"
 	"engarde/internal/hostos"
 	"engarde/internal/loader"
+	"engarde/internal/nacl"
 	"engarde/internal/obs"
 	"engarde/internal/policy"
 	"engarde/internal/policy/memo"
@@ -105,12 +106,6 @@ type Config struct {
 	// clients then fit a stock 2000-page EPC at the cost of extra SGX
 	// instructions per eviction/reload.
 	EnableEPCPaging bool
-	// DisasmWorkers shards the disassembly pass across this many workers;
-	// 0 means GOMAXPROCS, 1 forces the sequential path. The decoded
-	// Program and all cycle charges are identical either way.
-	DisasmWorkers int
-	// PolicyWorkers sizes the policy-checking worker pool the same way.
-	PolicyWorkers int
 	// FnMemo, when non-nil, enables warm-path provisioning: per-function
 	// policy outcomes are shared through this content-addressed cache, so
 	// an image whose functions (typically the approved libc) were already
@@ -121,7 +116,7 @@ type Config struct {
 	// Trace, when non-nil, records the provisioning timeline: one
 	// cycle-metered phase span per pipeline stage (enclave creation,
 	// staging, disassembly, policy checking, loading, finalization) plus
-	// wall-clock sub-spans from the sharded passes. When the trace shares
+	// wall-clock sub-spans from the validation passes. When the trace shares
 	// Counter with this config and the counter started at zero, the spans'
 	// per-phase cycle sums equal Report.Phases exactly.
 	Trace *obs.Trace
@@ -440,21 +435,21 @@ func (g *EnGarde) reject(reason string, violation *policy.Violation) *Report {
 // image. A non-nil Report with Compliant == false is a *decision*, not an
 // error; errors mean the machinery itself failed.
 func (g *EnGarde) Provision(image []byte) (*Report, error) {
-	return g.provision(&StagedImage{Image: image}, nil)
+	return g.provision(image, nil)
 }
 
 // ProvisionPrechecked provisions an image a prior compliant Report already
-// vouches for: disassembly and policy checking are skipped, any speculative
-// decode is discarded unused, and the image goes straight to loading. The
-// caller must guarantee that the image is byte-identical to the one the
-// prior report describes AND that it was checked under a policy set with an
-// identical fingerprint — that is what makes skipping the deterministic
-// check sound. The returned Report carries CacheHit = true.
+// vouches for: disassembly and policy checking are skipped and the image
+// goes straight to loading. The caller must guarantee that the image is
+// byte-identical to the one the prior report describes AND that it was
+// checked under a policy set with an identical fingerprint — that is what
+// makes skipping the deterministic check sound. The returned Report
+// carries CacheHit = true.
 func (g *EnGarde) ProvisionPrechecked(st *StagedImage, prior *Report) (*Report, error) {
 	if prior == nil || !prior.Compliant {
 		return nil, errors.New("core: prechecked provisioning requires a prior compliant report")
 	}
-	return g.provision(st, prior)
+	return g.provision(st.Image, prior)
 }
 
 // provision is the shared pipeline — Provision, ProvisionStaged and
@@ -462,13 +457,7 @@ func (g *EnGarde) ProvisionPrechecked(st *StagedImage, prior *Report) (*Report, 
 // diverge. With prior == nil it runs the full check; with a prior
 // compliant report it skips disassembly and policy evaluation (the
 // verdict-cache fast path).
-// A streamed st may carry a speculative decode, adopted (or discarded) at
-// the disassembly stage by decodeText.
-func (g *EnGarde) provision(st *StagedImage, prior *Report) (*Report, error) {
-	// Whatever path exits, never leave the speculative decoder's chunk
-	// goroutines or pooled buffers in flight.
-	defer st.Release()
-	image := st.Image
+func (g *EnGarde) provision(image []byte, prior *Report) (*Report, error) {
 	if g.provisioned {
 		return nil, ErrAlreadyProvisioned
 	}
@@ -528,7 +517,7 @@ func (g *EnGarde) provision(st *StagedImage, prior *Report) (*Report, error) {
 		cur.End()
 		cur = tr.StartPhase("disasm")
 		g.dev.SetPhase(cycles.PhaseDisasm)
-		prog, err := g.decodeText(st, text, tr)
+		prog, err := nacl.DecodeProgramTraced(text.Data, text.Addr, g.cfg.Counter, 1, tr)
 		if err != nil {
 			return g.reject(fmt.Sprintf("disassembly: %v", err), nil), nil
 		}
@@ -549,14 +538,13 @@ func (g *EnGarde) provision(st *StagedImage, prior *Report) (*Report, error) {
 		g.dev.SetPhase(cycles.PhasePolicy)
 		pctx := &policy.Context{Program: prog, Symbols: tab, Counter: g.cfg.Counter, Trace: tr}
 		if g.cfg.FnMemo != nil && tab != nil && g.cfg.Policies.AnyMemoizable() {
-			// Warm path: one serial fingerprint pass computes every
-			// function's content digest, then the module hit sets are fixed
-			// — both before the parallel fan-out, so the charges land in a
-			// deterministic order and span checkers read without locks.
+			// Warm path: one fingerprint pass computes every function's
+			// content digest, then the module hit sets are fixed before any
+			// module runs.
 			pctx.Memo = memo.NewSession(g.cfg.FnMemo, prog, tab, g.cfg.Counter)
 			g.cfg.Policies.ProbeMemo(pctx)
 		}
-		if err := g.cfg.Policies.CheckParallel(pctx, g.cfg.PolicyWorkers); err != nil {
+		if err := g.cfg.Policies.Check(pctx); err != nil {
 			if v, ok := policy.AsViolation(err); ok {
 				rep := g.reject(err.Error(), v)
 				if pctx.Memo != nil {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"engarde/internal/policy"
@@ -14,8 +14,7 @@ import (
 )
 
 // diffCase pairs a client binary with a policy set; makePols builds a fresh
-// Set per run because policy modules (liblink's use counter, ifcc's jump
-// table) carry per-check state.
+// Set, so tests that share one Set across sessions do so on purpose.
 type diffCase struct {
 	name     string
 	image    func(t *testing.T) []byte
@@ -48,9 +47,11 @@ func diffCases() []diffCase {
 		}
 		return buildClient(t, cfg)
 	}
-	fullSet := func(t *testing.T) *policy.Set {
+	// fullSet checks the approved musl build with or without canaries,
+	// matching how the client was compiled.
+	fullSet := func(t *testing.T, stackProtector bool) *policy.Set {
 		t.Helper()
-		db, err := toolchain.MuslHashDB(toolchain.MuslV105, false)
+		db, err := toolchain.MuslHashDB(toolchain.MuslV105, stackProtector)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func diffCases() []diffCase {
 			name:  "compliant-full-set",
 			image: protected,
 			makePols: func(t *testing.T) *policy.Set {
-				return fullSet(t)
+				return fullSet(t, true)
 			},
 		},
 		{ // unprotected client under stackprot: a function-granular violation
@@ -79,62 +80,74 @@ func diffCases() []diffCase {
 				return policy.NewSet(noforbidden.New())
 			},
 		},
-		{ // violation while later modules still run: merge-order sensitivity
+		{ // violation before later modules of the set run
 			name:  "violation-in-full-set",
 			image: syscalls,
 			makePols: func(t *testing.T) *policy.Set {
-				return fullSet(t)
+				return fullSet(t, false)
 			},
 		},
 	}
 }
 
-// provisionWith provisions image on a fresh enclave with the given worker
-// counts and returns the report.
-func provisionWith(t *testing.T, image []byte, pols *policy.Set, disasmWorkers, policyWorkers int) *Report {
+// provisionWith provisions image on a fresh enclave and returns the report.
+func provisionWith(t *testing.T, image []byte, pols *policy.Set) *Report {
 	t.Helper()
-	cfg := testConfig(pols)
-	cfg.DisasmWorkers = disasmWorkers
-	cfg.PolicyWorkers = policyWorkers
-	g, _ := newEnGarde(t, cfg)
+	g, _ := newEnGarde(t, testConfig(pols))
 	rep, err := g.Provision(image)
 	if err != nil {
-		t.Fatalf("Provision(disasm=%d, policy=%d): %v", disasmWorkers, policyWorkers, err)
+		t.Fatalf("Provision: %v", err)
 	}
 	return rep
 }
 
-// TestParallelProvisionMatchesSequential is the differential property the
-// whole parallel pipeline rests on: for any worker count, the provisioning
-// outcome — verdict, violation (module, address, reason), instruction
-// count, and every per-phase cycle total — is identical to the sequential
-// run. Worker counts are randomized (seeded) so seams move between runs.
+// TestParallelProvisionMatchesSequential pins where a server's parallelism
+// comes from: sessions side by side, each running one sequential pipeline.
+// Several enclaves provision the same image at once, sharing one policy set
+// as a gateway's sessions do, and every outcome — verdict, violation
+// (module, address, reason), instruction count, and every per-phase cycle
+// total — must equal a lone run's.
 func TestParallelProvisionMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260805))
+	const sessions = 4
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			image := tc.image(t)
-			want := provisionWith(t, image, tc.makePols(t), 1, 1)
+			want := provisionWith(t, image, tc.makePols(t))
 
-			workerPairs := [][2]int{{0, 0}, {2, 3}, {8, 8}}
-			for i := 0; i < 3; i++ {
-				workerPairs = append(workerPairs, [2]int{1 + rng.Intn(16), 1 + rng.Intn(16)})
+			pols := tc.makePols(t)
+			encls := make([]*EnGarde, sessions)
+			for i := range encls {
+				encls[i], _ = newEnGarde(t, testConfig(pols))
 			}
-			for _, wp := range workerPairs {
-				got := provisionWith(t, image, tc.makePols(t), wp[0], wp[1])
+			reps := make([]*Report, sessions)
+			errs := make([]error, sessions)
+			var wg sync.WaitGroup
+			for i := range encls {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					reps[i], errs[i] = encls[i].Provision(image)
+				}(i)
+			}
+			wg.Wait()
+
+			for i, got := range reps {
+				if errs[i] != nil {
+					t.Fatalf("session %d: Provision: %v", i, errs[i])
+				}
 				if got.Compliant != want.Compliant || got.Reason != want.Reason {
-					t.Fatalf("workers %v: verdict (%v, %q), sequential (%v, %q)",
-						wp, got.Compliant, got.Reason, want.Compliant, want.Reason)
+					t.Fatalf("session %d: verdict (%v, %q), alone (%v, %q)",
+						i, got.Compliant, got.Reason, want.Compliant, want.Reason)
 				}
 				if !reflect.DeepEqual(got.Violation, want.Violation) {
-					t.Fatalf("workers %v: violation %+v, sequential %+v", wp, got.Violation, want.Violation)
+					t.Fatalf("session %d: violation %+v, alone %+v", i, got.Violation, want.Violation)
 				}
 				if got.NumInsts != want.NumInsts {
-					t.Fatalf("workers %v: %d instructions, sequential %d", wp, got.NumInsts, want.NumInsts)
+					t.Fatalf("session %d: %d instructions, alone %d", i, got.NumInsts, want.NumInsts)
 				}
 				if !reflect.DeepEqual(got.Phases, want.Phases) {
-					t.Fatalf("workers %v: phase cycle totals diverge:\n  par: %v\n  seq: %v",
-						wp, got.Phases, want.Phases)
+					t.Fatalf("session %d: phase cycle totals diverge:\n  side by side: %v\n  alone:        %v",
+						i, got.Phases, want.Phases)
 				}
 			}
 		})

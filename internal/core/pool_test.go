@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -15,12 +14,10 @@ import (
 )
 
 // newSnapshotter builds a Snapshotter on its own device with its own
-// counter, from testConfig plus the given workers/cache.
-func newSnapshotter(t *testing.T, pols *policy.Set, dw, pw int, cache *memo.Cache) *Snapshotter {
+// counter, from testConfig plus the given cache.
+func newSnapshotter(t *testing.T, pols *policy.Set, cache *memo.Cache) *Snapshotter {
 	t.Helper()
 	cfg := testConfig(pols)
-	cfg.DisasmWorkers = dw
-	cfg.PolicyWorkers = pw
 	cfg.FnMemo = cache
 	cfg.Counter = cycles.NewCounter(cycles.DefaultModel())
 	dev, err := sgx.NewDevice(sgx.Config{
@@ -99,21 +96,17 @@ func compareReports(t *testing.T, label string, got, want *Report, gotDelta, wan
 // freshly measured-built enclave — same verdict, violation, instruction
 // count, per-phase provisioning cycle deltas, same MRENCLAVE, and an
 // attestation quote that verifies against the fresh enclave's measurement.
-// Checked across the PR-2 differential cases, randomized worker counts,
-// and the warm-path memo (none, mem).
+// Checked across the differential cases and the warm-path memo (none,
+// mem).
 func TestPooledProvisionMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260807))
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			image := tc.image(t)
 			for _, tier := range []string{"none", "mem"} {
 				t.Run(tier, func(t *testing.T) {
-					dw, pw := 1+rng.Intn(12), 1+rng.Intn(12)
-					warmDW, warmPW := 1+rng.Intn(12), 1+rng.Intn(12)
-
 					// openCache builds one warmed cache; fresh and pooled sides
-					// get their own, warmed identically (same image, same
-					// worker counts), so the measured runs see equal state.
+					// get their own, warmed identically, so the measured runs
+					// see equal state.
 					openCache := func() *memo.Cache {
 						if tier == "none" {
 							return nil
@@ -122,19 +115,18 @@ func TestPooledProvisionMatchesFresh(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						provisionWarm(t, image, tc.makePols(t), warmDW, warmPW, cache)
+						provisionWarm(t, image, tc.makePols(t), cache)
 						return cache
 					}
 
 					// Fresh side: the measured build.
 					freshCfg := testConfig(tc.makePols(t))
-					freshCfg.DisasmWorkers, freshCfg.PolicyWorkers = dw, pw
 					freshCfg.FnMemo = openCache()
 					fresh, _ := newEnGarde(t, freshCfg)
 					freshRep, freshDelta := provisionDelta(t, fresh, image)
 
 					// Pooled side: snapshot template once, then a clone.
-					snap := newSnapshotter(t, tc.makePols(t), dw, pw, openCache())
+					snap := newSnapshotter(t, tc.makePols(t), openCache())
 					if snap.Measurement() != fresh.Measurement() {
 						t.Fatalf("clone MRENCLAVE %x, fresh %x",
 							snap.Measurement(), fresh.Measurement())
@@ -199,7 +191,7 @@ func TestPooledProvisionMatchesFresh(t *testing.T) {
 // session writes into heap pages must be unreadable after Recycle — the
 // next tenant sees exactly the snapshot image, never a predecessor's data.
 func TestRecycleErasesResidue(t *testing.T) {
-	snap := newSnapshotter(t, policy.NewSet(), 1, 1, nil)
+	snap := newSnapshotter(t, policy.NewSet(), nil)
 	g1, err := snap.Clone(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +222,7 @@ func TestRecycleErasesResidue(t *testing.T) {
 // gateway chaos tests rely on: any clone/recycle/destroy sequence returns
 // the device to its pre-clone EPC free count.
 func TestCloneDestroyRestoresEPCBalance(t *testing.T) {
-	snap := newSnapshotter(t, policy.NewSet(), 1, 1, nil)
+	snap := newSnapshotter(t, policy.NewSet(), nil)
 	g, err := snap.Clone(nil)
 	if err != nil {
 		t.Fatal(err)

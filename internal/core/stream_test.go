@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -21,11 +22,9 @@ import (
 // receives on either the streaming pipeline (RecvImageStreaming +
 // ProvisionStaged) or, as the sequential oracle, a plain whole-image
 // receive (the session's RecvStream) followed by Provision.
-func provisionOver(t *testing.T, streaming bool, image []byte, pols *policy.Set, dw, pw, blockSize int, cache *memo.Cache) *Report {
+func provisionOver(t *testing.T, streaming bool, image []byte, pols *policy.Set, blockSize int, cache *memo.Cache) *Report {
 	t.Helper()
 	cfg := testConfig(pols)
-	cfg.DisasmWorkers = dw
-	cfg.PolicyWorkers = pw
 	cfg.FnMemo = cache
 	g, client := newEnGarde(t, cfg)
 
@@ -56,8 +55,7 @@ func provisionOver(t *testing.T, streaming bool, image []byte, pols *policy.Set,
 		}
 	}
 	if err != nil {
-		t.Fatalf("provision (streaming=%v, disasm=%d, policy=%d, block=%d): %v",
-			streaming, dw, pw, blockSize, err)
+		t.Fatalf("provision (streaming=%v, block=%d): %v", streaming, blockSize, err)
 	}
 	if err := <-sendErr; err != nil {
 		t.Fatalf("SendStream: %v", err)
@@ -66,69 +64,64 @@ func provisionOver(t *testing.T, streaming bool, image []byte, pols *policy.Set,
 }
 
 // TestStreamingMatchesSequential is the contract the whole streaming
-// pipeline rests on: for any frame schedule, worker count, and memo tier,
-// the streamed receive-and-provision produces exactly the sequential
-// outcome — verdict, violation, instruction count, and (for cold runs)
-// every per-phase cycle total. Streaming may only move work earlier in
-// time, never change it.
+// pipeline rests on: for any frame schedule, cold or through a warmed
+// function-result cache, the streamed receive-and-provision produces
+// exactly the sequential outcome — verdict, violation, instruction count,
+// and every per-phase cycle total.
 func TestStreamingMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			image := tc.image(t)
-			workerPairs := [][2]int{{1, 1}, {3, 3}, {1 + rng.Intn(8), 1 + rng.Intn(8)}}
-			blockSizes := []int{517, 4 * 1024, 64 * 1024, 1 + rng.Intn(32*1024)}
-
-			for _, wp := range workerPairs {
-				want := provisionOver(t, false, image, tc.makePols(t), wp[0], wp[1], 64*1024, nil)
-				for _, bs := range blockSizes {
-					got := provisionOver(t, true, image, tc.makePols(t), wp[0], wp[1], bs, nil)
-					if got.Compliant != want.Compliant || got.Reason != want.Reason {
-						t.Fatalf("workers %v block %d: verdict (%v, %q), sequential (%v, %q)",
-							wp, bs, got.Compliant, got.Reason, want.Compliant, want.Reason)
-					}
-					if !reflect.DeepEqual(got.Violation, want.Violation) {
-						t.Fatalf("workers %v block %d: violation %+v, sequential %+v",
-							wp, bs, got.Violation, want.Violation)
-					}
-					if got.NumInsts != want.NumInsts || got.Entry != want.Entry || got.HeapBytes != want.HeapBytes {
-						t.Fatalf("workers %v block %d: (insts=%d entry=%#x heap=%d), sequential (%d, %#x, %d)",
-							wp, bs, got.NumInsts, got.Entry, got.HeapBytes,
-							want.NumInsts, want.Entry, want.HeapBytes)
-					}
-					if !reflect.DeepEqual(got.Phases, want.Phases) {
-						t.Fatalf("workers %v block %d: phase cycle totals diverge:\n  stream: %v\n  seq:    %v",
-							wp, bs, got.Phases, want.Phases)
-					}
+			same := func(label string, got, want *Report) {
+				t.Helper()
+				if got.Compliant != want.Compliant || got.Reason != want.Reason {
+					t.Fatalf("%s: verdict (%v, %q), sequential (%v, %q)",
+						label, got.Compliant, got.Reason, want.Compliant, want.Reason)
+				}
+				if !reflect.DeepEqual(got.Violation, want.Violation) {
+					t.Fatalf("%s: violation %+v, sequential %+v", label, got.Violation, want.Violation)
+				}
+				if got.NumInsts != want.NumInsts || got.Entry != want.Entry || got.HeapBytes != want.HeapBytes {
+					t.Fatalf("%s: (insts=%d entry=%#x heap=%d), sequential (%d, %#x, %d)",
+						label, got.NumInsts, got.Entry, got.HeapBytes,
+						want.NumInsts, want.Entry, want.HeapBytes)
+				}
+				if got.CachedFunctions != want.CachedFunctions {
+					t.Fatalf("%s: %d cached functions, sequential %d", label, got.CachedFunctions, want.CachedFunctions)
+				}
+				if !reflect.DeepEqual(got.Phases, want.Phases) {
+					t.Fatalf("%s: phase cycle totals diverge:\n  stream: %v\n  seq:    %v",
+						label, got.Phases, want.Phases)
 				}
 			}
 
-			// Memo tiers: a function-result cache warmed identically on both
-			// sides must leave the streamed outcome equal to the sequential one.
-			// (Cycle totals are span-cut-dependent on warm runs — see
-			// TestWarmProvisionMatchesCold — so only the outcome is compared.)
-			for _, wp := range workerPairs[:2] {
-				warm := func() *memo.Cache {
-					c, err := memo.Open(memo.Config{Entries: 1 << 12})
-					if err != nil {
-						t.Fatal(err)
-					}
-					provisionWarm(t, image, tc.makePols(t), 1, 1, c)
-					return c
+			want := provisionOver(t, false, image, tc.makePols(t), 64*1024, nil)
+			for _, bs := range []int{517, 4 * 1024, 64 * 1024, 1 + rng.Intn(32*1024)} {
+				got := provisionOver(t, true, image, tc.makePols(t), bs, nil)
+				same(fmt.Sprintf("block %d", bs), got, want)
+			}
+
+			// A function-result cache warmed identically on both sides must
+			// leave the streamed outcome and charges equal to the sequential
+			// ones.
+			warm := func() *memo.Cache {
+				c, err := memo.Open(memo.Config{Entries: 1 << 12})
+				if err != nil {
+					t.Fatal(err)
 				}
-				cacheA, cacheB := warm(), warm()
-				defer cacheA.Close()
-				defer cacheB.Close()
-				want := provisionOver(t, false, image, tc.makePols(t), wp[0], wp[1], 64*1024, cacheA)
-				got := provisionOver(t, true, image, tc.makePols(t), wp[0], wp[1], 1+rng.Intn(16*1024), cacheB)
-				if got.Compliant != want.Compliant || got.Reason != want.Reason ||
-					!reflect.DeepEqual(got.Violation, want.Violation) || got.NumInsts != want.NumInsts {
-					t.Fatalf("workers %v warm: streamed (%v, %q, %d insts), sequential (%v, %q, %d insts)",
-						wp, got.Compliant, got.Reason, got.NumInsts, want.Compliant, want.Reason, want.NumInsts)
-				}
-				if tc.name == "compliant-full-set" && got.CachedFunctions == 0 {
-					t.Fatalf("workers %v: warm streamed run reused no function outcomes", wp)
-				}
+				provisionWarm(t, image, tc.makePols(t), c)
+				return c
+			}
+			cacheA, cacheB := warm(), warm()
+			defer cacheA.Close()
+			defer cacheB.Close()
+			want = provisionOver(t, false, image, tc.makePols(t), 64*1024, cacheA)
+			bs := 1 + rng.Intn(16*1024)
+			got := provisionOver(t, true, image, tc.makePols(t), bs, cacheB)
+			same(fmt.Sprintf("warm, block %d", bs), got, want)
+			if tc.name == "compliant-full-set" && got.CachedFunctions == 0 {
+				t.Fatal("warm streamed run reused no function outcomes")
 			}
 		})
 	}
@@ -144,16 +137,6 @@ func TestRecvImageStreamingRequiresSession(t *testing.T) {
 	if _, err := g.RecvImageStreaming(nil); err != ErrNoSession {
 		t.Fatalf("error = %v, want ErrNoSession", err)
 	}
-}
-
-// TestStagedImageReleaseIdempotent: Release is safe on nil receivers,
-// before provisioning, and repeatedly after.
-func TestStagedImageReleaseIdempotent(t *testing.T) {
-	var st *StagedImage
-	st.Release()
-	st = &StagedImage{}
-	st.Release()
-	st.Release()
 }
 
 // TestProvisionStagedPrecheckedGuards: a staged image provisioned on the
@@ -238,9 +221,7 @@ func FuzzStreamingFrameSchedule(f *testing.F) {
 		}
 		image, want := images[idx], baseline[idx]
 
-		cfg := testConfig(policy.NewSet(stackprot.New()))
-		cfg.DisasmWorkers = 1 + int(seed&3)
-		g, client := newEnGarde(t, cfg)
+		g, client := newEnGarde(t, testConfig(policy.NewSet(stackprot.New())))
 
 		cli, srvRaw := net.Pipe()
 		// Fault probabilities scale with the chaos byte; bit flips and

@@ -1,11 +1,13 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"engarde/internal/cycles"
+	"engarde/internal/elf64"
+	"engarde/internal/nacl"
 	"engarde/internal/policy"
 	"engarde/internal/policy/liblink"
 	"engarde/internal/policy/memo"
@@ -16,33 +18,55 @@ import (
 )
 
 // provisionWarm provisions image on a fresh enclave sharing the given
-// function-result cache, with the given worker counts.
-func provisionWarm(t *testing.T, image []byte, pols *policy.Set, disasmWorkers, policyWorkers int, cache *memo.Cache) *Report {
+// function-result cache.
+func provisionWarm(t *testing.T, image []byte, pols *policy.Set, cache *memo.Cache) *Report {
 	t.Helper()
 	cfg := testConfig(pols)
-	cfg.DisasmWorkers = disasmWorkers
-	cfg.PolicyWorkers = policyWorkers
 	cfg.FnMemo = cache
 	g, _ := newEnGarde(t, cfg)
 	rep, err := g.Provision(image)
 	if err != nil {
-		t.Fatalf("Provision(disasm=%d, policy=%d, warm): %v", disasmWorkers, policyWorkers, err)
+		t.Fatalf("Provision(warm): %v", err)
 	}
 	return rep
 }
 
+// minWarmInsts is the smallest image TestWarmProvisionMatchesCold accepts:
+// large enough that a pipeline splitting its buffer across CPUs would cut
+// it, so the test would see the charges move with GOMAXPROCS.
+const minWarmInsts = 2048
+
+// textInsts decodes image's text section and returns its instruction
+// count (a rejected Report carries none).
+func textInsts(t *testing.T, image []byte) int {
+	t.Helper()
+	f, err := elf64.Parse(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := f.Section(".text")
+	p, err := nacl.DecodeProgramTraced(text.Data, text.Addr, nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(p.Insts)
+}
+
 // TestWarmProvisionMatchesCold is the differential property the warm path
 // rests on: provisioning through a function-result cache warmed in memory
-// yields the same verdict, violation, and instruction count as a cold run, for any
-// worker count. Cycle totals are deliberately NOT compared: straddle
-// handling is span-cut-dependent, so warm metering varies with worker
-// count (see EXPERIMENTS.md); only the outcome must be invariant.
+// yields the same verdict, violation, and instruction count as a cold run.
+// Warm metering is deterministic as well: under GOMAXPROCS 1 and 4 alike,
+// every warm provision charges the same per-phase cycles and reuses the
+// same number of function outcomes as the first warm provision.
 func TestWarmProvisionMatchesCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260805))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			image := tc.image(t)
-			cold := provisionWith(t, image, tc.makePols(t), 1, 1)
+			if n := textInsts(t, image); n < minWarmInsts {
+				t.Fatalf("image has %d instructions, want at least %d", n, minWarmInsts)
+			}
+			cold := provisionWith(t, image, tc.makePols(t))
 
 			for _, tier := range []string{"mem"} {
 				t.Run(tier, func(t *testing.T) {
@@ -51,30 +75,43 @@ func TestWarmProvisionMatchesCold(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					// Warming pass under randomized seams populates the cache
-					// (passing functions only; violations are never memoized).
-					provisionWarm(t, image, tc.makePols(t), 1+rng.Intn(12), 1+rng.Intn(12), cache)
+					// The warming pass populates the cache (passing functions
+					// only; violations are never memoized).
+					provisionWarm(t, image, tc.makePols(t), cache)
 
-					for i := 0; i < 3; i++ {
-						dw, pw := 1+rng.Intn(12), 1+rng.Intn(12)
-						got := provisionWarm(t, image, tc.makePols(t), dw, pw, cache)
+					var first *Report
+					for _, procs := range []int{1, 4, 1, 4} {
+						runtime.GOMAXPROCS(procs)
+						got := provisionWarm(t, image, tc.makePols(t), cache)
 						if got.Compliant != cold.Compliant || got.Reason != cold.Reason {
-							t.Fatalf("workers (%d,%d): warm verdict (%v, %q), cold (%v, %q)",
-								dw, pw, got.Compliant, got.Reason, cold.Compliant, cold.Reason)
+							t.Fatalf("GOMAXPROCS %d: warm verdict (%v, %q), cold (%v, %q)",
+								procs, got.Compliant, got.Reason, cold.Compliant, cold.Reason)
 						}
 						if !reflect.DeepEqual(got.Violation, cold.Violation) {
-							t.Fatalf("workers (%d,%d): warm violation %+v, cold %+v",
-								dw, pw, got.Violation, cold.Violation)
+							t.Fatalf("GOMAXPROCS %d: warm violation %+v, cold %+v",
+								procs, got.Violation, cold.Violation)
 						}
 						if got.NumInsts != cold.NumInsts {
-							t.Fatalf("workers (%d,%d): warm decoded %d instructions, cold %d",
-								dw, pw, got.NumInsts, cold.NumInsts)
+							t.Fatalf("GOMAXPROCS %d: warm decoded %d instructions, cold %d",
+								procs, got.NumInsts, cold.NumInsts)
 						}
 						// The compliant image re-provisioned through a warmed
 						// cache must actually reuse outcomes — otherwise this
 						// test passes trivially with the cache inert.
 						if tc.name == "compliant-full-set" && got.CachedFunctions == 0 {
-							t.Fatalf("workers (%d,%d): warm run reused no function outcomes", dw, pw)
+							t.Fatalf("GOMAXPROCS %d: warm run reused no function outcomes", procs)
+						}
+						if first == nil {
+							first = got
+							continue
+						}
+						if got.CachedFunctions != first.CachedFunctions {
+							t.Fatalf("GOMAXPROCS %d: warm run reused %d function outcomes, first warm run %d",
+								procs, got.CachedFunctions, first.CachedFunctions)
+						}
+						if !reflect.DeepEqual(got.Phases, first.Phases) {
+							t.Fatalf("GOMAXPROCS %d: warm phase cycle totals diverge:\n  got:   %v\n  first: %v",
+								procs, got.Phases, first.Phases)
 						}
 					}
 				})
@@ -87,8 +124,7 @@ func TestWarmProvisionMatchesCold(t *testing.T) {
 // second image sharing the approved libc must cut metered policy-phase
 // cycles by at least 5x against the cold run. Image A warms the cache,
 // then image B is provisioned cold (no cache) and warm (against A's
-// cache). Workers are pinned to 1 so the span cuts — and with them the
-// metered figures — are reproducible.
+// cache).
 func TestWarmProvisionSpeedup(t *testing.T) {
 	db, err := toolchain.MuslHashDB(toolchain.MuslV105, true)
 	if err != nil {
@@ -110,7 +146,6 @@ func TestWarmProvisionSpeedup(t *testing.T) {
 		cfg := testConfig(pols)
 		cfg.EPCPages = sgx.ModifiedEPCPages
 		cfg.Counter = cycles.NewCounter(cycles.DefaultModel())
-		cfg.DisasmWorkers, cfg.PolicyWorkers = 1, 1
 		cfg.FnMemo = cache
 		g, err := New(cfg)
 		if err != nil {

@@ -148,14 +148,8 @@ func DefaultModel() Model {
 
 // Counter accumulates cycles and unit counts per phase. It is safe for
 // concurrent use and contention-free: every cell is an independent atomic,
-// so parallel pipeline workers charging disjoint (or even identical) cells
-// never serialize on a lock. The zero value is NOT ready: use NewCounter so
-// a model is attached.
-//
-// For exact accounting under heavy sharded workloads, workers should charge
-// a private staging Counter (Stage) and the coordinator should merge them in
-// a deterministic order (Fold); that keeps totals independent of worker
-// count and interleaving.
+// so sessions sharing one platform counter never serialize on a lock. The
+// zero value is NOT ready: use NewCounter so a model is attached.
 type Counter struct {
 	model  Model
 	cycles [numPhases]atomic.Uint64
@@ -170,33 +164,6 @@ func NewCounter(m Model) *Counter {
 // Model returns the cost model the counter charges against.
 func (c *Counter) Model() Model {
 	return c.model
-}
-
-// Stage returns a fresh, empty Counter with the same cost model, intended
-// as a per-worker staging area. Charges recorded on the stage are invisible
-// to c until the coordinator calls c.Fold(stage).
-func (c *Counter) Stage() *Counter {
-	return NewCounter(c.model)
-}
-
-// Fold adds every cell of src into c. src is read atomically but should be
-// quiescent (its workers done) when folded, or the merge is torn. Folding
-// staging counters in a fixed order makes parallel accounting reproduce the
-// sequential totals exactly.
-func (c *Counter) Fold(src *Counter) {
-	if src == nil {
-		return
-	}
-	for p := 1; p < int(numPhases); p++ {
-		if v := src.cycles[p].Load(); v != 0 {
-			c.cycles[p].Add(v)
-		}
-		for u := 0; u < int(numUnits); u++ {
-			if v := src.units[p][u].Load(); v != 0 {
-				c.units[p][u].Add(v)
-			}
-		}
-	}
 }
 
 // Charge records n units of work in the given phase.

@@ -75,14 +75,8 @@ func buildTestPIEImage(t testing.TB) []byte {
 	return buildTestPIE(t, make([]byte, 512), make([]byte, 128))
 }
 
-// FuzzParseELF drives Parse and SniffExecSegment over attacker-shaped
-// images. Properties:
-//   - Parse and every accessor of a parsed file return, never panic.
-//   - SniffExecSegment is prefix-monotone: once a prefix gets a definitive
-//     answer, every longer prefix gets the same answer.
-//   - When Parse succeeds with exactly one PF_X PT_LOAD, the sniffed hint
-//     is that segment (the sniffer declines only an empty or wrapping
-//     one); with none or several, the sniffer offers no hint.
+// FuzzParseELF drives Parse over attacker-shaped images: Parse and every
+// accessor of a parsed file return, never panic.
 func FuzzParseELF(f *testing.F) {
 	img := buildTestPIEImage(f)
 	f.Add(img)
@@ -90,7 +84,6 @@ func FuzzParseELF(f *testing.F) {
 		f.Add(img[:n])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkSniffMonotone(t, data)
 		file, err := Parse(data)
 		if err != nil {
 			return
@@ -109,60 +102,5 @@ func FuzzParseELF(f *testing.F) {
 		}
 		_, _ = file.DataAt(0, 1)
 		_, _ = file.DataAt(^uint64(0), 2)
-
-		var exec []Phdr
-		for _, p := range file.Progs {
-			if p.Type == PTLoad && p.Flags&PFX != 0 {
-				exec = append(exec, p)
-			}
-		}
-		hint, ok, definitive := SniffExecSegment(data)
-		if !definitive {
-			t.Fatal("sniffer undecided on an image Parse accepted")
-		}
-		if len(exec) != 1 {
-			if ok {
-				t.Fatalf("sniffer hinted %+v for %d executable segments", hint, len(exec))
-			}
-			return
-		}
-		seg := exec[0]
-		wantOK := seg.Filesz != 0 && seg.Off+seg.Filesz >= seg.Off
-		if ok != wantOK {
-			t.Fatalf("sniffer ok=%v for executable segment %+v, want %v", ok, seg, wantOK)
-		}
-		if want := (ExecSegmentHint{Off: seg.Off, Filesz: seg.Filesz, Vaddr: seg.Vaddr}); ok && hint != want {
-			t.Fatalf("sniffed hint %+v, parsed segment %+v", hint, want)
-		}
 	})
-}
-
-// checkSniffMonotone finds the shortest prefix of data that
-// SniffExecSegment answers definitively and checks a spread of longer
-// prefixes, the whole input included, get the same answer.
-func checkSniffMonotone(t *testing.T, data []byte) {
-	t.Helper()
-	first := -1
-	var hint ExecSegmentHint
-	var ok bool
-	for n := 0; n <= len(data); n++ {
-		var definitive bool
-		if hint, ok, definitive = SniffExecSegment(data[:n]); definitive {
-			first = n
-			break
-		}
-	}
-	if first < 0 {
-		return
-	}
-	for _, n := range []int{first + 1, first + (len(data)-first)/2, len(data)} {
-		if n > len(data) {
-			continue
-		}
-		h, o, definitive := SniffExecSegment(data[:n])
-		if !definitive || o != ok || h != hint {
-			t.Fatalf("prefix %d answered (%+v, %v), prefix %d answers (%+v, %v, definitive=%v)",
-				first, hint, ok, n, h, o, definitive)
-		}
-	}
 }

@@ -107,36 +107,6 @@ func TestChaosConnBitFlipCorruptsExactlyOneBit(t *testing.T) {
 	}
 }
 
-// TestChaosReaderFlipsEveryRead: with BitFlipProb 1 every read of the
-// wrapped stream carries exactly one flipped bit, wherever it lands.
-func TestChaosReaderFlipsEveryRead(t *testing.T) {
-	payload := bytes.Repeat([]byte{0x5A}, 300)
-	r := WrapReader(io.NopCloser(bytes.NewReader(payload)), Schedule{Seed: 11, BitFlipProb: 1})
-	reads := 0
-	for off := 0; off < len(payload); reads++ {
-		buf := make([]byte, 64)
-		n, err := r.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff := 0
-		for i := 0; i < n; i++ {
-			for b := 0; b < 8; b++ {
-				if (buf[i]^payload[off+i])&(1<<b) != 0 {
-					diff++
-				}
-			}
-		}
-		if diff != 1 {
-			t.Fatalf("read %d differs in %d bits, want exactly 1", reads, diff)
-		}
-		off += n
-	}
-	if n := r.Injected()[ActBitFlip]; n != uint64(reads) {
-		t.Fatalf("Injected[bit-flip] = %d, want %d", n, reads)
-	}
-}
-
 func TestChaosConnTruncateClosesUnderlying(t *testing.T) {
 	chaos, srv := pipePair(Schedule{Triggers: []Trigger{{Op: OpRead, N: 0, Do: ActTruncate}}})
 	defer srv.Close()

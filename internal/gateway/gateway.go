@@ -75,11 +75,6 @@ type Config struct {
 	// HeapPages / ClientPages size each connection's enclave.
 	HeapPages   int
 	ClientPages int
-	// DisasmWorkers / PolicyWorkers shard each session's disassembly and
-	// policy-checking passes (see engarde.EnclaveConfig); 0 means
-	// GOMAXPROCS, 1 forces the sequential paths.
-	DisasmWorkers int
-	PolicyWorkers int
 
 	// MaxConcurrent bounds in-flight provisions (worker-pool size).
 	// Default DefaultMaxConcurrent.
@@ -503,9 +498,8 @@ func (g *Gateway) handle(q queuedConn) {
 	// staged image (plaintext and digest) is still in hand, so the session
 	// is re-run in full on a replacement clone (identical MRENCLAVE) instead
 	// of surfacing a machinery failure to a client that did nothing wrong.
-	// The first attempt already released any speculative decode, so the
-	// replay decodes from the buffer — identical verdicts by construction
-	// (TestStreamingMatchesSequential).
+	// The replay runs the same pipeline over the same buffer, so its
+	// verdict is the one the lost enclave would have given.
 	// One replacement attempt: a second loss means the host is shedding EPC
 	// faster than sessions run, and the typed backend-lost verdict
 	// (failNotify) correctly pushes the client to another backend.
@@ -602,12 +596,10 @@ func (g *Gateway) template(tr *obs.Trace) (*engarde.EnclaveSnapshot, error) {
 	}
 	sp := tr.StartSpan("snapshot-template")
 	snap, err := g.cfg.Provider.NewEnclaveSnapshot(engarde.EnclaveConfig{
-		Policies:      g.cfg.Policies,
-		HeapPages:     g.cfg.HeapPages,
-		ClientPages:   g.cfg.ClientPages,
-		DisasmWorkers: g.cfg.DisasmWorkers,
-		PolicyWorkers: g.cfg.PolicyWorkers,
-		FnCache:       g.fnCache,
+		Policies:    g.cfg.Policies,
+		HeapPages:   g.cfg.HeapPages,
+		ClientPages: g.cfg.ClientPages,
+		FnCache:     g.fnCache,
 	})
 	sp.End()
 	if err != nil {
@@ -641,9 +633,7 @@ func (g *Gateway) provision(encl *engarde.Enclave, st *engarde.StagedImage) (*en
 		g.metrics.cacheHits.Inc()
 		if !prior.Compliant {
 			// A cached rejection needs no enclave work at all: the verdict
-			// is the whole outcome, and the in-flight speculative decode
-			// is discarded.
-			st.Release()
+			// is the whole outcome.
 			rep := *prior
 			rep.CacheHit = true
 			return &rep, nil

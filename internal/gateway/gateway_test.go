@@ -278,17 +278,14 @@ func TestGatewayConcurrentProvisioning(t *testing.T) {
 }
 
 // TestGatewayMixedWorkloadParallel drives compliant, policy-violating and
-// malformed images through the gateway at the same time, with the parallel
-// disassembly and policy pipeline enabled. Every image is distinct, so
-// every session is a cold provision and the sharded workers of different
-// sessions genuinely overlap — the configuration the race detector needs
-// to see. Each class must keep its verdict.
+// malformed images through the gateway at the same time. Every image is
+// distinct, so every session is a cold provision and the pipelines of
+// different sessions genuinely overlap — the configuration the race
+// detector needs to see. Each class must keep its verdict.
 func TestGatewayMixedWorkloadParallel(t *testing.T) {
 	gw, ln, client := testGateway(t, gateway.Config{
 		Policies:      engarde.NewPolicySet(engarde.StackProtectorPolicy()),
 		MaxConcurrent: 4,
-		DisasmWorkers: 4,
-		PolicyWorkers: 4,
 	})
 
 	const perClass = 3

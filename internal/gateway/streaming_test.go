@@ -1,10 +1,10 @@
 package gateway_test
 
-// Streaming-path gateway tests: the receive overlaps transfer with the
-// provisioning pipeline, so these assert (1) verdict and cache behaviour
-// are indistinguishable from in-process provisioning of the same image, and
-// (2) the overlap telemetry — recv-overlap and first-byte-to-verdict spans,
-// the dedicated histograms — actually fires.
+// Streaming-path gateway tests: the receive hashes each frame as it
+// arrives, so these assert (1) verdict and cache behaviour are
+// indistinguishable from in-process provisioning of the same image, and
+// (2) the streaming telemetry — the first-byte-to-verdict span and the
+// dedicated histograms — actually fires.
 
 import (
 	"strings"
@@ -17,7 +17,7 @@ import (
 )
 
 // buildLargeImage makes an image whose text segment spans many frames at
-// small block sizes, so the streaming decoder demonstrably overlaps.
+// small block sizes.
 func buildLargeImage(t testing.TB, name string, seed int64) []byte {
 	t.Helper()
 	bin, err := toolchain.Build(toolchain.Config{
@@ -33,8 +33,8 @@ func buildLargeImage(t testing.TB, name string, seed int64) []byte {
 // TestStreamingServesAndObserves drives sessions through the streaming
 // gateway with small client frames and checks the full telemetry contract:
 // the verdict is exact, the verdict cache keys off the incremental digest
-// (a repeat is a hit with no second pipeline run), recv-overlap and
-// first-byte-to-verdict spans appear in the trace, and the new histograms
+// (a repeat is a hit with no second pipeline run), a first-byte-to-verdict
+// span appears in the trace, and the streaming histograms
 // register and count on /metricsz without breaking exposition lint.
 func TestStreamingServesAndObserves(t *testing.T) {
 	sink, err := obs.NewSink(16, "")
@@ -42,9 +42,8 @@ func TestStreamingServesAndObserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw, ln, client := testGateway(t, gateway.Config{
-		Policies:      engarde.NewPolicySet(engarde.StackProtectorPolicy()),
-		DisasmWorkers: 4,
-		TraceSink:     sink,
+		Policies:  engarde.NewPolicySet(engarde.StackProtectorPolicy()),
+		TraceSink: sink,
 	})
 	image := buildLargeImage(t, "stream-obs", 7001)
 	cl := *client
@@ -61,19 +60,13 @@ func TestStreamingServesAndObserves(t *testing.T) {
 		t.Fatalf("verdict cache hits = %d, want 1", hits)
 	}
 
-	var sawOverlap, sawFBTV bool
+	var sawFBTV bool
 	for _, td := range sink.Recent() {
 		for i := range td.Spans {
-			switch td.Spans[i].Name {
-			case "recv-overlap":
-				sawOverlap = true
-			case "first-byte-to-verdict":
+			if td.Spans[i].Name == "first-byte-to-verdict" {
 				sawFBTV = true
 			}
 		}
-	}
-	if !sawOverlap {
-		t.Error("no recv-overlap span: transfer and decode never ran concurrently")
 	}
 	if !sawFBTV {
 		t.Error("no first-byte-to-verdict span recorded")
@@ -137,12 +130,10 @@ func TestStreamingMatchesBufferedVerdicts(t *testing.T) {
 
 // TestStreamingCachedRejection covers the one streaming cache branch with
 // no enclave work at all: a cached non-compliant verdict answered at
-// last-byte, where the gateway must discard the in-flight speculative
-// decode (provision's Release) without leaking it.
+// last-byte.
 func TestStreamingCachedRejection(t *testing.T) {
 	gw, ln, client := testGateway(t, gateway.Config{
-		Policies:      engarde.NewPolicySet(engarde.StackProtectorPolicy()),
-		DisasmWorkers: 4,
+		Policies: engarde.NewPolicySet(engarde.StackProtectorPolicy()),
 	})
 	bin, err := toolchain.Build(toolchain.Config{
 		Name: "stream-rej", Seed: 7004, NumFuncs: 48, AvgFuncInsts: 120,

@@ -53,35 +53,13 @@ func fuzzValidateSeeds() [][]byte {
 // arbitrary code regions: it never panics; every instruction start of an
 // accepted Program re-decodes, in isolation, to the identical instruction
 // (the self-consistency NaCl's reliable-disassembly argument rests on);
-// consecutive instructions tile the region exactly; and the sharded
-// decoder is bit-identical to the sequential one even when forced to cut
-// mid-instruction chunk seams.
+// and consecutive instructions tile the region exactly.
 func FuzzValidate(f *testing.F) {
 	for _, seed := range fuzzValidateSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, code []byte) {
 		const base = 0x1000 // bundle-aligned, as loaded text always is
-
-		// Differential: force the sharded path with chunk sizes small
-		// enough to cut seams inside instructions (normalizeWorkers would
-		// keep inputs this small sequential in production).
-		seqInsts, seqErr := decodeRange(code, base, 0, len(code))
-		for _, workers := range []int{2, 3, 5} {
-			parInsts, parErr := decodeSharded(code, base, workers)
-			if (seqErr == nil) != (parErr == nil) {
-				t.Fatalf("workers=%d: sequential err %v, sharded err %v", workers, seqErr, parErr)
-			}
-			if seqErr != nil {
-				if seqErr.Error() != parErr.Error() {
-					t.Fatalf("workers=%d: error mismatch:\n  seq: %v\n  par: %v", workers, seqErr, parErr)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(seqInsts, parInsts) {
-				t.Fatalf("workers=%d: sharded decode diverges from sequential", workers)
-			}
-		}
 
 		p, err := Validate(code, base, base, nil, nil)
 		if err != nil {

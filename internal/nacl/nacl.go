@@ -11,21 +11,15 @@
 // second rule already validates); NOP padding between functions is exempt,
 // since bundle alignment necessarily produces unreachable NOPs.
 //
-// Decoding can be sharded across workers: the region is split into chunks
-// that are decoded speculatively in parallel and then reconciled at the
-// seams. x86 decoding self-synchronizes, so a speculative chunk almost
-// always rejoins the true instruction stream; where it does not, the seam
-// is re-decoded serially. The result is bit-identical to the sequential
-// pass, including cycle charges.
+// Each pass is one sequential walk over the region; a server gets its
+// parallelism from running sessions side by side, not from splitting one.
 package nacl
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"engarde/internal/cycles"
 	"engarde/internal/obs"
@@ -35,10 +29,6 @@ import (
 
 // BundleSize is the NaCl bundle granularity.
 const BundleSize = 32
-
-// minChunkBytes bounds sharding overhead: a region is never split into
-// chunks smaller than this, so tiny inputs decode sequentially.
-const minChunkBytes = 2048
 
 // Validation errors.
 var (
@@ -108,11 +98,11 @@ func (p *Program) Contains(addr uint64) bool {
 	return addr >= p.Base && addr < p.End
 }
 
-// Validate decodes and validates the text region starting at base,
-// sequentially. entry is the program entry point; tab supplies function
-// starts for the reachability rule (it may be nil, in which case only entry
-// seeds the reachability walk). Decoding work is charged to the disassembly
-// phase of counter when non-nil.
+// Validate decodes and validates the text region starting at base. entry
+// is the program entry point; tab supplies function starts for the
+// reachability rule (it may be nil, in which case only entry seeds the
+// reachability walk). Decoding work is charged to the disassembly phase of
+// counter when non-nil.
 func Validate(code []byte, base, entry uint64, tab *symtab.Table, counter *cycles.Counter) (*Program, error) {
 	p, err := DecodeProgramTraced(code, base, counter, 1, nil)
 	if err != nil {
@@ -126,284 +116,77 @@ func Validate(code []byte, base, entry uint64, tab *symtab.Table, counter *cycle
 
 // DecodeProgramTraced performs the first three validation rules (full
 // decode, bundle discipline, branch-target validity) without the
-// reachability walk, sharded across workers (<= 0 means GOMAXPROCS; 1 is
-// the sequential decoder). Callers recovering function boundaries from
-// stripped binaries (internal/funcid) decode first, recover, then run
-// CheckReachability with the recovered table. The produced Program is
-// bit-identical for any worker count and charges the same cycle totals:
-// speculative decode work thrown away at seam reconciliation is never
-// charged. One wall-clock span per validation pass is recorded on tr (nil
-// tr is a no-op); the passes run sequentially, but cycle attribution stays
-// with the caller's enclosing disassembly phase span, so the pass spans
-// are timing-only.
+// reachability walk. Callers recovering function boundaries from stripped
+// binaries (internal/funcid) decode first, recover, then run
+// CheckReachability with the recovered table. workers is ignored: every
+// pass is sequential. It stays in the signature for existing callers. One
+// wall-clock span per validation pass is recorded on tr (nil tr is a
+// no-op); cycle attribution stays with the caller's enclosing disassembly
+// phase span, so the pass spans are timing-only.
 func DecodeProgramTraced(code []byte, base uint64, counter *cycles.Counter, workers int, tr *obs.Trace) (*Program, error) {
 	// Pass 1: full decode (rejects mixed code/data).
 	sp := tr.StartSpan("disasm:decode")
-	insts, err := decodeSharded(code, base, normalizeWorkers(workers, len(code)))
+	insts, err := decodeRange(code, base)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	return finishProgram(insts, code, base, counter, workers, tr)
-}
-
-// finishProgram runs everything downstream of the raw decode — the decoded-
-// instruction cycle charge and validation passes 2 and 3 — shared between
-// DecodeProgramTraced above and StreamDecoder.Finish, so both produce
-// identical Programs, rejections, and charges by construction.
-func finishProgram(insts []x86.Inst, code []byte, base uint64, counter *cycles.Counter, workers int, tr *obs.Trace) (*Program, error) {
 	p := &Program{Insts: insts, Code: code, Base: base, End: base + uint64(len(code))}
 	if counter != nil {
 		counter.Charge(cycles.PhaseDisasm, cycles.UnitDecodedInst, uint64(len(p.Insts)))
 	}
 
 	// Pass 2: bundle rule.
-	sp := tr.StartSpan("disasm:bundle-check")
-	i := firstIndex(len(p.Insts), workers, func(i int) bool {
+	sp = tr.StartSpan("disasm:bundle-check")
+	for i := range p.Insts {
 		in := &p.Insts[i]
-		return in.Addr/BundleSize != (in.Addr+uint64(in.Len)-1)/BundleSize
-	})
-	sp.End()
-	if i >= 0 {
-		in := &p.Insts[i]
-		return nil, fmt.Errorf("%w: %s at %#x (%d bytes)", ErrBundleCrossing, in.String(), in.Addr, in.Len)
+		if in.Addr/BundleSize != (in.Addr+uint64(in.Len)-1)/BundleSize {
+			sp.End()
+			return nil, fmt.Errorf("%w: %s at %#x (%d bytes)", ErrBundleCrossing, in.String(), in.Addr, in.Len)
+		}
 	}
+	sp.End()
 
 	// Pass 3: control-transfer targets. Targets outside the region (e.g.
 	// into a runtime the enclave doesn't have) are invalid too. A bitmap
 	// of instruction starts answers each target in O(1).
 	sp = tr.StartSpan("disasm:branch-check")
+	defer sp.End()
 	starts := make([]uint64, (len(code)+63)/64)
 	for k := range p.Insts {
 		off := p.Insts[k].Addr - base
 		starts[off/64] |= 1 << (off % 64)
 	}
-	i = firstIndex(len(p.Insts), workers, func(i int) bool {
-		tgt, ok := p.Insts[i].BranchTarget()
-		if !ok {
-			return false
-		}
-		off := tgt - base
-		return !p.Contains(tgt) || starts[off/64]&(1<<(off%64)) == 0
-	})
-	sp.End()
-	if i >= 0 {
+	for i := range p.Insts {
 		in := &p.Insts[i]
-		tgt, _ := in.BranchTarget()
-		return nil, fmt.Errorf("%w: %s at %#x targets %#x", ErrBadBranchTarget, in.String(), in.Addr, tgt)
+		tgt, ok := in.BranchTarget()
+		if !ok {
+			continue
+		}
+		if off := tgt - base; !p.Contains(tgt) || starts[off/64]&(1<<(off%64)) == 0 {
+			return nil, fmt.Errorf("%w: %s at %#x targets %#x", ErrBadBranchTarget, in.String(), in.Addr, tgt)
+		}
 	}
-
 	return p, nil
 }
 
-// normalizeWorkers resolves the requested worker count against the input
-// size: <= 0 means GOMAXPROCS, and the region is never cut into chunks
-// smaller than minChunkBytes.
-func normalizeWorkers(workers, size int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := size / minChunkBytes; workers > max {
-		workers = max
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// chunkDecode is one worker's speculative decode of [start, spill).
-type chunkDecode struct {
-	insts  []x86.Inst
-	spill  int   // offset where decoding stopped (first offset NOT consumed)
-	err    error // decode failure, if any
-	errOff int   // offset of the failure
-}
-
-// decodeSharded decodes code into its instruction sequence. With one
-// worker it is the plain sequential loop; with more, chunks are decoded
-// speculatively in parallel and reconciled in address order.
-func decodeSharded(code []byte, base uint64, workers int) ([]x86.Inst, error) {
-	if workers <= 1 || len(code) < workers {
-		return decodeRange(code, base, 0, len(code))
-	}
-
-	chunkSize := (len(code) + workers - 1) / workers
-	numChunks := (len(code) + chunkSize - 1) / chunkSize
-	chunks := make([]chunkDecode, numChunks)
-	var wg sync.WaitGroup
-	for k := 0; k < numChunks; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			start := k * chunkSize
-			end := start + chunkSize
-			if end > len(code) {
-				end = len(code)
-			}
-			decodeChunk(&chunks[k], code, base, start, end, len(code))
-		}(k)
-	}
-	wg.Wait()
-	return mergeChunks(code, base, chunks, chunkSize)
-}
-
-// decodeChunk is one worker's speculative decode of code offsets
-// [start, end): decoding continues past end into the following chunk until
-// an instruction boundary lands at or beyond it (spill). The chunk's
-// result depends only on code[start : min(end+14, len(code))] — an
-// instruction is at most 15 bytes, so the last decode started before end
-// never reads further — which is what lets the streaming decoder launch a
-// chunk before the whole region has arrived. Chunk 0 reserves room for the
-// whole size-byte region: its slice becomes the merged program.
-func decodeChunk(c *chunkDecode, code []byte, base uint64, start, end, size int) {
-	n := end - start
-	if start == 0 {
-		n = size
-	}
-	insts := make([]x86.Inst, 0, presize(n))
-	off := start
-	for off < end {
-		var in *x86.Inst
-		insts, in = grow1(insts)
-		if err := x86.DecodeInto(in, code[off:], base+uint64(off)); err != nil {
-			insts = insts[:len(insts)-1]
-			c.err, c.errOff = err, off
-			break
-		}
-		off += int(in.Len)
-	}
-	c.insts, c.spill = insts, off
-}
-
-// presize is the record capacity reserved for n code bytes. Synthetic-
-// toolchain instructions average ~4.6 bytes, so this usually avoids every
-// regrow.
-func presize(n int) int { return n/4 + 1 }
-
-// grow1 extends insts by one record, in place when capacity allows, and
-// returns the new record for x86.DecodeInto to fill.
-func grow1(insts []x86.Inst) ([]x86.Inst, *x86.Inst) {
-	insts = slices.Grow(insts, 1)
-	insts = insts[:len(insts)+1]
-	return insts, &insts[len(insts)-1]
-}
-
-// mergeChunks performs seam reconciliation: walk the region in address
-// order. Whenever the true decode position coincides with an instruction
-// start some chunk decoded speculatively, that chunk's tail is adopted
-// wholesale (its decode from that offset is, by determinism, exactly what a
-// serial pass would produce); otherwise a single instruction is re-decoded
-// serially and the test repeats. Chunk 0 always starts aligned, so the
-// prefix is adopted immediately.
-func mergeChunks(code []byte, base uint64, chunks []chunkDecode, chunkSize int) ([]x86.Inst, error) {
-	var insts []x86.Inst
-	pos := 0
-	for pos < len(code) {
-		c := &chunks[pos/chunkSize]
-		if i, ok := seekChunk(c, base+uint64(pos)); ok {
-			if len(insts) == 0 {
-				// Chunk 0, adopted in place: it reserved room for the
-				// whole program, so the later chunks append without a
-				// regrow.
-				insts = c.insts[i:]
-			} else {
-				insts = append(insts, c.insts[i:]...)
-			}
-			if c.err != nil {
-				return nil, undecodable(base+uint64(c.errOff), c.err)
-			}
-			pos = c.spill
-			continue
-		}
-		var in *x86.Inst
-		insts, in = grow1(insts)
-		addr := base + uint64(pos)
-		if err := x86.DecodeInto(in, code[pos:], addr); err != nil {
-			return nil, undecodable(addr, err)
-		}
-		pos += int(in.Len)
-	}
-	return insts, nil
-}
-
-// seekChunk finds the index in c.insts of the instruction starting at
-// addr, if the chunk's speculative decode visited that start.
-func seekChunk(c *chunkDecode, addr uint64) (int, bool) {
-	i := sort.Search(len(c.insts), func(i int) bool { return c.insts[i].Addr >= addr })
-	if i < len(c.insts) && c.insts[i].Addr == addr {
-		return i, true
-	}
-	return 0, false
-}
-
-// decodeRange is the sequential decode loop over code[start:end).
-func decodeRange(code []byte, base uint64, start, end int) ([]x86.Inst, error) {
-	insts := make([]x86.Inst, 0, presize(end-start))
-	off := start
-	for off < end {
-		var in *x86.Inst
-		insts, in = grow1(insts)
+// decodeRange decodes the whole of code into its instruction sequence.
+// The records are reserved up front for one instruction per four bytes:
+// synthetic-toolchain instructions average ~4.6 bytes, so this usually
+// avoids every regrow.
+func decodeRange(code []byte, base uint64) ([]x86.Inst, error) {
+	insts := make([]x86.Inst, 0, len(code)/4+1)
+	for off := 0; off < len(code); {
+		insts = slices.Grow(insts, 1)
+		insts = insts[:len(insts)+1]
+		in := &insts[len(insts)-1]
 		addr := base + uint64(off)
 		if err := x86.DecodeInto(in, code[off:], addr); err != nil {
-			return nil, undecodable(addr, err)
+			return nil, fmt.Errorf("%w: at %#x: %v", ErrUndecodable, addr, err)
 		}
 		off += int(in.Len)
 	}
 	return insts, nil
-}
-
-func undecodable(addr uint64, err error) error {
-	return fmt.Errorf("%w: at %#x: %v", ErrUndecodable, addr, err)
-}
-
-// firstIndex returns the lowest i in [0, n) for which bad(i) holds, or -1.
-// The scan is sharded across workers; the result is deterministic because
-// shards are contiguous and merged in order.
-func firstIndex(n, workers int, bad func(i int) bool) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	const minShard = 4096
-	if shards := n / minShard; workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if bad(i) {
-				return i
-			}
-		}
-		return -1
-	}
-	shardSize := (n + workers - 1) / workers
-	numShards := (n + shardSize - 1) / shardSize
-	hits := make([]int, numShards)
-	var wg sync.WaitGroup
-	for s := 0; s < numShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*shardSize, (s+1)*shardSize
-			if hi > n {
-				hi = n
-			}
-			hits[s] = -1
-			for i := lo; i < hi; i++ {
-				if bad(i) {
-					hits[s] = i
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	for _, h := range hits {
-		if h >= 0 {
-			return h
-		}
-	}
-	return -1
 }
 
 // CheckReachability enforces the fourth rule: every non-padding

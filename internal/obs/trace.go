@@ -40,7 +40,7 @@ import (
 //     growth over the trace — Report.Phases, when the counter is
 //     session-private and started at zero.
 //   - Plain spans (StartSpan) record wall-clock only and may overlap freely
-//     (disassembly chunks, policy modules running concurrently).
+//     (a validation pass inside the disassembly phase span, say).
 //
 // All methods are safe on a nil *Trace and do nothing, so instrumented code
 // needs no "is tracing on" branches.
@@ -117,8 +117,8 @@ type SpanRef struct {
 	i int
 }
 
-// StartSpan opens a wall-clock span. Safe for concurrent use; concurrent
-// spans (decode chunks, policy modules) may overlap freely.
+// StartSpan opens a wall-clock span. Safe for concurrent use; plain spans
+// may overlap freely.
 func (t *Trace) StartSpan(name string) SpanRef {
 	if t == nil {
 		return SpanRef{}
@@ -220,9 +220,8 @@ func (r SpanRef) End() {
 
 // RecordSpan appends an already-closed plain (wall-clock) span whose start
 // predates the call — windows measured from timestamps taken elsewhere,
-// like first-byte-to-verdict (anchored at the first frame's arrival) or
-// recv-overlap (anchored at the first streamed decode chunk). No-op on a
-// nil or finished trace.
+// like first-byte-to-verdict (anchored at the first frame's arrival).
+// No-op on a nil or finished trace.
 func (t *Trace) RecordSpan(name string, start time.Time, dur time.Duration) {
 	if t == nil {
 		return

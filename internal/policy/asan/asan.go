@@ -28,7 +28,6 @@ import (
 	"sort"
 
 	"engarde/internal/policy"
-	"engarde/internal/symtab"
 	"engarde/internal/x86"
 )
 
@@ -72,11 +71,6 @@ func (m *Module) Fingerprint() []byte {
 	return h.Sum(nil)
 }
 
-// Check implements policy.Module.
-func (m *Module) Check(ctx *policy.Context) error {
-	return policy.RunSharded(ctx, m)
-}
-
 // memoVersion tags the revalidation-payload format: deduplicated signed
 // varints of (report-call target − function address). Bump on any change
 // to the encoding or its interpretation.
@@ -87,30 +81,16 @@ func (m *Module) MemoFingerprint() [sha256.Size]byte {
 	return policy.MemoKeyFP(m, memoVersion)
 }
 
-// BeginShards implements policy.Sharded. Like stackprot, the check is
-// function-granular: each function is owned by the span whose address
-// interval contains its start.
-func (m *Module) BeginShards(ctx *policy.Context) (policy.SpanChecker, error) {
-	c := &checker{m: m, funcs: ctx.Symbols.Functions()}
+// Check implements policy.Module: every non-exempt function in the symbol
+// table is checked in address order, through the function-result cache
+// when a memo session is active.
+func (m *Module) Check(ctx *policy.Context) error {
+	var fp [sha256.Size]byte
 	if ctx.Memo != nil {
-		c.memo = true
-		c.fp = m.MemoFingerprint()
+		fp = m.MemoFingerprint()
 	}
-	return c, nil
-}
-
-type checker struct {
-	m     *Module
-	funcs []symtab.Entry
-	memo  bool
-	fp    [sha256.Size]byte
-}
-
-// CheckSpan verifies every function owned by the index span [lo, hi).
-func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
-	m := c.m
 	p := ctx.Program
-	for _, fn := range policy.FuncsInSpan(p, c.funcs, lo, hi) {
+	for _, fn := range ctx.Symbols.Functions() {
 		ctx.ChargeLookup(1)
 		if m.ExemptFuncs[fn.Name] {
 			continue
@@ -125,12 +105,12 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 				end = ni
 			}
 		}
-		if c.memo {
+		if ctx.Memo != nil {
 			// Memo path, guarded on the digest span agreeing with this
 			// module's function boundary (otherwise the memoized bytes are
 			// not the bytes inspected here).
 			if sp, ok := ctx.Memo.Span(fn.Addr); ok && sp.StartIdx == start && sp.EndIdx == end {
-				if payload, hit := ctx.Memo.Hit(c.fp, fn.Addr); hit && m.revalidate(ctx, payload, fn.Addr) {
+				if payload, hit := ctx.Memo.Hit(fp, fn.Addr); hit && m.revalidate(ctx, payload, fn.Addr) {
 					ctx.Memo.CountReuse(1)
 					continue
 				}
@@ -139,7 +119,7 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 					return err
 				}
 				if eligible {
-					ctx.Memo.Record(c.fp, fn.Addr, payload)
+					ctx.Memo.Record(fp, fn.Addr, payload)
 				}
 				continue
 			}
@@ -150,9 +130,6 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 	}
 	return nil
 }
-
-// Finish implements policy.SpanChecker; there is no epilogue.
-func (c *checker) Finish(ctx *policy.Context) error { return nil }
 
 // checkFunction scans one function's instructions [start, end) for guarded
 // frame stores. On pass it returns the memo payload (function-relative

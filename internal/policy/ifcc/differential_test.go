@@ -7,9 +7,9 @@ import (
 	"engarde/internal/policy/policytest"
 )
 
-// TestTallyMatchesReference holds scanRange to the reference scan over the
-// whole buffer and over spans that cut it at arbitrary points: same site
-// count, verdict, violation and charged units.
+// TestTallyMatchesReference holds Check to the jump-table prologue plus
+// the reference scan over the whole buffer: same verdict, violation and
+// charged units.
 func TestTallyMatchesReference(t *testing.T) {
 	verdicts := map[bool]int{}
 	for seed := int64(61); seed < 64; seed++ {
@@ -18,27 +18,16 @@ func TestTallyMatchesReference(t *testing.T) {
 			c.Seed = seed
 			c.StackProtector = seed%2 == 0
 			ctx := policytest.Context(t, policytest.Build(t, c))
-			sc, err := New().BeginShards(ctx)
-			if err != nil {
-				t.Fatalf("seed %d: BeginShards: %v", seed, err)
+			m := New()
+			label := fmt.Sprintf("seed%d/ifcc=%v", seed, instrumented)
+			got, want := policytest.Fresh(ctx), policytest.Fresh(ctx)
+			err := m.Check(got)
+			verdicts[err == nil]++
+			tbl, ref := m.findJumpTable(want)
+			if ref == nil {
+				_, ref = (&checker{m: m, tbl: tbl}).refScanRange(want, 0, len(ctx.Program.Insts))
 			}
-			ck := sc.(*checker)
-			n := len(ctx.Program.Insts)
-			spans := [][2]int{{0, n}, {0, 0}, {n / 3, n / 2}, {n / 2, n}, {n - 1, n}}
-			for lo := 0; lo < n; lo += n/7 + 1 {
-				spans = append(spans, [2]int{lo, min(lo+n/5, n)})
-			}
-			for _, sp := range spans {
-				label := fmt.Sprintf("seed%d/ifcc=%v/[%d,%d)", seed, instrumented, sp[0], sp[1])
-				got, want := policytest.Fresh(ctx), policytest.Fresh(ctx)
-				gs, err := ck.scanRange(got, sp[0], sp[1])
-				ws, refErr := ck.refScanRange(want, sp[0], sp[1])
-				verdicts[err == nil]++
-				policytest.SameCheck(t, label, err, refErr, got.Counter, want.Counter)
-				if gs != ws {
-					t.Errorf("%s: %d sites, reference %d", label, gs, ws)
-				}
-			}
+			policytest.SameCheck(t, label, err, ref, got.Counter, want.Counter)
 		}
 	}
 	if verdicts[true] == 0 || verdicts[false] == 0 {

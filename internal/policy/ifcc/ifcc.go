@@ -52,11 +52,6 @@ type table struct {
 	size uint64 // bytes; power of two × slotSize
 }
 
-// Check implements policy.Module.
-func (m *Module) Check(ctx *policy.Context) error {
-	return policy.RunSharded(ctx, m)
-}
-
 // memoVersion tags the revalidation-payload format: empty for a function
 // with no indirect calls, else uvarint(mask) + signed-varint(table base −
 // function address). Bump on any change to the encoding.
@@ -67,39 +62,28 @@ func (m *Module) MemoFingerprint() [sha256.Size]byte {
 	return policy.MemoKeyFP(m, memoVersion)
 }
 
-// BeginShards implements policy.Sharded: jump-table discovery is the
-// serial prologue (it can itself report a Violation); call sites are
-// owned by the span containing the call instruction. The backwards guard
-// walk may read instructions before the span — spans are read-only views
-// of the shared buffer, so that is safe.
-func (m *Module) BeginShards(ctx *policy.Context) (policy.SpanChecker, error) {
+// Check implements policy.Module. Jump-table discovery is the prologue
+// (it can itself report a Violation); then one scan of the instruction
+// buffer verifies the guard before every indirect call, hopping memoized
+// functions when a memo session is active.
+func (m *Module) Check(ctx *policy.Context) error {
 	tbl, err := m.findJumpTable(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c := &checker{m: m, tbl: tbl}
 	if ctx.Memo != nil {
-		c.memo = true
 		c.fp = m.MemoFingerprint()
+		return c.checkMemo(ctx)
 	}
-	return c, nil
+	_, err = c.scanRange(ctx, 0, len(ctx.Program.Insts))
+	return err
 }
 
 type checker struct {
-	m    *Module
-	tbl  *table
-	memo bool
-	fp   [sha256.Size]byte
-}
-
-// CheckSpan scans instructions [lo, hi) for indirect calls and verifies
-// the IFCC guard sequence before each.
-func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
-	if c.memo {
-		return c.checkSpanMemo(ctx, lo, hi)
-	}
-	_, err := c.scanRange(ctx, lo, hi)
-	return err
+	m   *Module
+	tbl *table
+	fp  [sha256.Size]byte
 }
 
 // scanRange is the per-instruction scan over [lo, hi); it returns the
@@ -133,13 +117,13 @@ func (c *checker) scanRange(ctx *policy.Context, lo, hi int) (int, error) {
 	return sites, nil
 }
 
-// checkSpanMemo walks [lo, hi) function by function via the digest table.
+// checkMemo walks the buffer function by function via the digest table.
 // A whole function with a revalidated hit is skipped; a miss is scanned in
 // full and recorded. Instructions outside any digest span (the prefix gap,
-// padding) and functions straddling a span cut are scanned cold.
-func (c *checker) checkSpanMemo(ctx *policy.Context, lo, hi int) error {
-	i := lo
-	for i < hi {
+// padding) are scanned one by one.
+func (c *checker) checkMemo(ctx *policy.Context) error {
+	n := len(ctx.Program.Insts)
+	for i := 0; i < n; {
 		sp, ok := ctx.Memo.SpanContaining(i)
 		if !ok {
 			if _, err := c.scanRange(ctx, i, i+1); err != nil {
@@ -148,30 +132,16 @@ func (c *checker) checkSpanMemo(ctx *policy.Context, lo, hi int) error {
 			i++
 			continue
 		}
-		segEnd := sp.EndIdx
-		if segEnd > hi {
-			segEnd = hi
-		}
-		if sp.StartIdx < lo || sp.EndIdx > hi {
-			// Straddles the span cut: each touching span scans its part
-			// cold, so no span depends on another's progress.
-			if _, err := c.scanRange(ctx, i, segEnd); err != nil {
-				return err
-			}
-			i = segEnd
-			continue
-		}
 		if payload, hit := ctx.Memo.Hit(c.fp, sp.Addr); hit && c.revalidate(ctx, payload, sp.Addr) {
 			ctx.Memo.CountReuse(1)
-			i = segEnd
-			continue
+		} else {
+			sites, err := c.scanRange(ctx, sp.StartIdx, sp.EndIdx)
+			if err != nil {
+				return err
+			}
+			ctx.Memo.Record(c.fp, sp.Addr, c.payload(sites, sp.Addr))
 		}
-		sites, err := c.scanRange(ctx, sp.StartIdx, sp.EndIdx)
-		if err != nil {
-			return err
-		}
-		ctx.Memo.Record(c.fp, sp.Addr, c.payload(sites, sp.Addr))
-		i = segEnd
+		i = sp.EndIdx
 	}
 	return nil
 }
@@ -209,9 +179,6 @@ func (c *checker) revalidate(ctx *policy.Context, payload []byte, fnAddr uint64)
 	}
 	return mask == c.tbl.size-slotSize && fnAddr+uint64(rel) == c.tbl.base
 }
-
-// Finish implements policy.SpanChecker; there is no epilogue.
-func (c *checker) Finish(ctx *policy.Context) error { return nil }
 
 // findJumpTable locates the jump table via its symbols and verifies the
 // entry format invariant the paper relies on. Returns nil (no error) when

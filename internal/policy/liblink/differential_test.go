@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"testing"
 
-	"engarde/internal/policy"
 	"engarde/internal/policy/memo"
 	"engarde/internal/policy/policytest"
 	"engarde/internal/toolchain"
 )
 
-// TestTallyMatchesReference holds CheckSpan to the reference walk: same
-// verdict, violation and charged units, sequential and span-sharded, cold
+// TestTallyMatchesReference holds the module's scan to the reference walk
+// over the whole buffer: same verdict, violation and charged units, cold
 // and through the memo session's digest table, on compliant images, images
 // linked against the other musl build, and instrumented variants.
 func TestTallyMatchesReference(t *testing.T) {
@@ -49,11 +48,6 @@ func TestTallyMatchesReference(t *testing.T) {
 					err := m.Check(got)
 					verdicts[err == nil]++
 					policytest.SameCheck(t, label, err, ref.Check(want), got.Counter, want.Counter)
-
-					got, want = policytest.Fresh(ctx), policytest.Fresh(ctx)
-					policytest.SameCheck(t, label+"/parallel",
-						policy.NewSet(m).CheckParallel(got, 4), policy.NewSet(ref).CheckParallel(want, 4),
-						got.Counter, want.Counter)
 
 					cache, err := memo.Open(memo.Config{Entries: 1 << 12})
 					if err != nil {

@@ -21,7 +21,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"engarde/internal/policy"
 )
@@ -67,11 +66,6 @@ func (m *Module) Fingerprint() []byte {
 	return h.Sum(nil)
 }
 
-// Check implements policy.Module.
-func (m *Module) Check(ctx *policy.Context) error {
-	return policy.RunSharded(ctx, m)
-}
-
 // UsesDigestTable implements policy.DigestTableUser. The module does not
 // memoize call-site verdicts across images (they depend on the resolved
 // callee, not only the caller's bytes), but when a memo session is active
@@ -80,27 +74,26 @@ func (m *Module) Check(ctx *policy.Context) error {
 // fetch instead of a full re-hash — the paper's dominant Figure 3 cost.
 func (m *Module) UsesDigestTable() {}
 
-// BeginShards implements policy.Sharded. Call sites are owned by the span
-// containing the call instruction; the library-use tally is accumulated
-// atomically and judged once in Finish.
-func (m *Module) BeginShards(ctx *policy.Context) (policy.SpanChecker, error) {
-	return &checker{m: m}, nil
+// Check implements policy.Module: one scan of the instruction buffer
+// verifies every direct call, then RequireUse is judged on the tally of
+// approved-library calls.
+func (m *Module) Check(ctx *policy.Context) error {
+	used, err := m.scan(ctx)
+	if err != nil {
+		return err
+	}
+	return m.requireUse(used)
 }
 
-type checker struct {
-	m    *Module
-	used atomic.Uint64
-}
-
-// CheckSpan scans instructions [lo, hi) for direct calls and verifies each
-// resolvable target against the approved-library database. Its charges
-// are tallied and flushed on return.
-func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
+// scan walks the instruction buffer for direct calls and verifies each
+// resolvable target against the approved-library database. It returns the
+// number of calls into the library. Its charges are tallied and flushed on
+// return.
+func (m *Module) scan(ctx *policy.Context) (used int, err error) {
 	var t policy.Tally
 	defer t.Flush(ctx)
-	m := c.m
 	p := ctx.Program
-	for i := lo; i < hi; i++ {
+	for i := range p.Insts {
 		t.Scan++
 		in := &p.Insts[i]
 		if !in.IsDirectCall() {
@@ -114,7 +107,7 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 		t.Lookup++
 		name, ok := ctx.Symbols.NameAt(target)
 		if !ok {
-			return &policy.Violation{
+			return used, &policy.Violation{
 				Module: m.Name(), Addr: in.Addr,
 				Reason: fmt.Sprintf("direct call target %#x is not a known function", target),
 			}
@@ -130,10 +123,9 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 			got = d
 		} else {
 			var n uint64
-			var err error
 			got, n, err = m.hashFunction(ctx, &t, target)
 			if err != nil {
-				return err
+				return used, err
 			}
 			t.Hash(n)
 		}
@@ -142,20 +134,19 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 			continue
 		}
 		if got != want {
-			return &policy.Violation{
+			return used, &policy.Violation{
 				Module: m.Name(), Addr: in.Addr,
 				Reason: fmt.Sprintf("function %q does not match the approved %s build", name, m.libName),
 			}
 		}
-		c.used.Add(1)
+		used++
 	}
-	return nil
+	return used, nil
 }
 
-// Finish enforces RequireUse once every span has passed.
-func (c *checker) Finish(ctx *policy.Context) error {
-	m := c.m
-	if m.RequireUse && c.used.Load() == 0 {
+// requireUse enforces RequireUse once the whole buffer has passed.
+func (m *Module) requireUse(used int) error {
+	if m.RequireUse && used == 0 {
 		return &policy.Violation{
 			Module: m.Name(),
 			Reason: fmt.Sprintf("program never calls into %s; linkage cannot be verified", m.libName),

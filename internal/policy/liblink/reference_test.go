@@ -1,9 +1,8 @@
 package liblink
 
-// The liblink span walk as it was before charge tallies and hasher reuse,
-// kept verbatim (renamed only) as the reference the differential test
-// holds CheckSpan to: a fresh hasher per call site, one counter update
-// per step.
+// The liblink scan as it was before charge tallies and hasher reuse, kept
+// verbatim (renamed only) as the reference the differential test holds
+// scan to: a fresh hasher per call site, one counter update per step.
 
 import (
 	"crypto/sha256"
@@ -12,24 +11,26 @@ import (
 	"engarde/internal/policy"
 )
 
-// refModule is the module with the reference span walk.
+// refModule is the module with the reference scan.
 type refModule struct{ *Module }
 
-func (r refModule) Check(ctx *policy.Context) error { return policy.RunSharded(ctx, r) }
-
-func (r refModule) BeginShards(ctx *policy.Context) (policy.SpanChecker, error) {
-	return &refChecker{checker{m: r.Module}}, nil
+// Check runs the reference scan, then the module's own RequireUse
+// epilogue.
+func (r refModule) Check(ctx *policy.Context) error {
+	used, err := r.refScan(ctx)
+	if err != nil {
+		return err
+	}
+	return r.requireUse(used)
 }
 
-// refChecker shares the checker's tally and Finish.
-type refChecker struct{ checker }
-
-// CheckSpan is the reference span walk: it scans instructions [lo, hi) for direct calls and verifies each
-// resolvable target against the approved-library database.
-func (c *refChecker) CheckSpan(ctx *policy.Context, lo, hi int) error {
-	m := c.m
+// refScan is the reference walk: it scans the instruction buffer for
+// direct calls and verifies each resolvable target against the
+// approved-library database.
+func (r refModule) refScan(ctx *policy.Context) (used int, err error) {
+	m := r.Module
 	p := ctx.Program
-	for i := lo; i < hi; i++ {
+	for i := range p.Insts {
 		ctx.ChargeScan(1)
 		in := &p.Insts[i]
 		if !in.IsDirectCall() {
@@ -43,7 +44,7 @@ func (c *refChecker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 		ctx.ChargeLookup(1)
 		name, ok := ctx.Symbols.NameAt(target)
 		if !ok {
-			return &policy.Violation{
+			return used, &policy.Violation{
 				Module: m.Name(), Addr: in.Addr,
 				Reason: fmt.Sprintf("direct call target %#x is not a known function", target),
 			}
@@ -59,10 +60,9 @@ func (c *refChecker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 			got = d
 		} else {
 			var n uint64
-			var err error
 			got, n, err = refHashFunction(m, ctx, target)
 			if err != nil {
-				return err
+				return used, err
 			}
 			ctx.ChargeHash(n)
 		}
@@ -71,14 +71,14 @@ func (c *refChecker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 			continue
 		}
 		if got != want {
-			return &policy.Violation{
+			return used, &policy.Violation{
 				Module: m.Name(), Addr: in.Addr,
 				Reason: fmt.Sprintf("function %q does not match the approved %s build", name, m.libName),
 			}
 		}
-		c.used.Add(1)
+		used++
 	}
-	return nil
+	return used, nil
 }
 
 // refHashFunction hashes the instructions of the function starting at addr,

@@ -3,7 +3,6 @@ package memo
 import (
 	"crypto/sha256"
 	"sort"
-	"sync/atomic"
 
 	"engarde/internal/cycles"
 	"engarde/internal/nacl"
@@ -26,15 +25,14 @@ type FuncSpan struct {
 
 // Session is the per-provisioning view of the cache: the digest table
 // computed by the fingerprint pass plus the per-module hit sets filled in
-// by Probe. Probe and Record run in module prologues (serial); Hit, Digest,
-// Span and SpanContaining are read-only afterward, so parallel span
-// checkers may call them without locks.
+// by Probe. It belongs to one provisioning, whose modules run one after
+// another, so it takes no locks; the Cache underneath is shared and does.
 type Session struct {
 	cache  *Cache
 	spans  []FuncSpan // ascending Addr and StartIdx
 	byAddr map[uint64]int
 	hits   map[[sha256.Size]byte]map[uint64][]byte
-	reused atomic.Uint64
+	reused uint64
 }
 
 // NewSession runs the fingerprint pass: one serial walk over the symbol
@@ -87,8 +85,7 @@ func (s *Session) NumFuncs() int { return len(s.spans) }
 
 // Probe looks up every function's outcome for the given module fingerprint
 // and fixes the hit set for the rest of the session. It returns the number
-// of cache probes performed so the caller can charge them. Probe is not
-// safe for concurrent use; call it from the module's serial prologue.
+// of cache probes performed so the caller can charge them.
 func (s *Session) Probe(moduleFP [sha256.Size]byte) int {
 	hits := make(map[uint64][]byte)
 	for i := range s.spans {
@@ -137,7 +134,7 @@ func (s *Session) Span(addr uint64) (FuncSpan, bool) {
 }
 
 // SpanContaining returns the function span containing instruction index
-// idx, letting span checkers hop function-by-function instead of
+// idx, letting a module's scan hop function-by-function instead of
 // instruction-by-instruction.
 func (s *Session) SpanContaining(idx int) (FuncSpan, bool) {
 	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].StartIdx > idx })
@@ -152,9 +149,9 @@ func (s *Session) SpanContaining(idx int) (FuncSpan, bool) {
 }
 
 // CountReuse adds n to the session's tally of function outcomes served
-// from the cache (revalidated hits). Safe for concurrent use.
-func (s *Session) CountReuse(n uint64) { s.reused.Add(n) }
+// from the cache (revalidated hits).
+func (s *Session) CountReuse(n uint64) { s.reused += n }
 
 // Reused returns the tally of function outcomes served from the cache —
 // the value surfaced as Report.CachedFunctions.
-func (s *Session) Reused() uint64 { return s.reused.Load() }
+func (s *Session) Reused() uint64 { return s.reused }

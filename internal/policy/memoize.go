@@ -10,10 +10,8 @@
 //     cross-function conditions the function's own bytes do not (a
 //     __stack_chk_fail resolution, a jump-table base, ...). Failed
 //     revalidation silently falls back to the full check.
-//   - Probing happens once, serially, in Set.ProbeMemo before any module
-//     runs: modules' prologues execute concurrently under CheckParallel, so
-//     the hit sets must be fixed — and therefore lock-free to read — before
-//     the fan-out.
+//   - Probing happens once, in Set.ProbeMemo before any module runs, so
+//     outcomes recorded during a provisioning never become hits within it.
 package policy
 
 import (
@@ -85,9 +83,8 @@ type DigestTableUser interface {
 }
 
 // ProbeMemo fixes every memoizable module's hit set for this provisioning.
-// It must run serially, after the session's fingerprint pass and before
-// Check/CheckParallel; probes are charged to the policy phase here so the
-// charge order is deterministic regardless of worker count.
+// It must run after the session's fingerprint pass and before Check;
+// probes are charged to the policy phase here.
 func (s *Set) ProbeMemo(ctx *Context) {
 	if ctx.Memo == nil {
 		return

@@ -70,11 +70,6 @@ func (m *Module) Fingerprint() []byte {
 	return h.Sum(nil)
 }
 
-// Check implements policy.Module.
-func (m *Module) Check(ctx *policy.Context) error {
-	return policy.RunSharded(ctx, m)
-}
-
 // memoVersion tags the (empty) revalidation-payload format. The verdict is
 // a pure function of the digest-pinned bytes, so hits need no payload.
 const memoVersion = "noforbidden/1"
@@ -84,28 +79,21 @@ func (m *Module) MemoFingerprint() [sha256.Size]byte {
 	return policy.MemoKeyFP(m, memoVersion)
 }
 
-// BeginShards implements policy.Sharded; the scan has no prologue.
-func (m *Module) BeginShards(ctx *policy.Context) (policy.SpanChecker, error) {
+// Check implements policy.Module: one scan of the instruction buffer
+// against the deny list, hopping memoized functions when a memo session is
+// active.
+func (m *Module) Check(ctx *policy.Context) error {
 	c := &checker{m: m}
 	if ctx.Memo != nil {
-		c.memo = true
 		c.fp = m.MemoFingerprint()
+		return c.checkMemo(ctx)
 	}
-	return c, nil
+	return c.scanRange(ctx, 0, len(ctx.Program.Insts))
 }
 
 type checker struct {
-	m    *Module
-	memo bool
-	fp   [sha256.Size]byte
-}
-
-// CheckSpan scans instructions [lo, hi) against the deny list.
-func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
-	if c.memo {
-		return c.checkSpanMemo(ctx, lo, hi)
-	}
-	return c.scanRange(ctx, lo, hi)
+	m  *Module
+	fp [sha256.Size]byte
 }
 
 // scanRange is the per-instruction deny-list scan over [lo, hi).
@@ -128,13 +116,13 @@ func (c *checker) scanRange(ctx *policy.Context, lo, hi int) error {
 	return nil
 }
 
-// checkSpanMemo hops [lo, hi) function by function via the digest table,
+// checkMemo walks the buffer function by function via the digest table,
 // skipping functions whose clean scan is memoized. The verdict is a pure
-// function of the bytes, so a hit needs no revalidation; everything else —
-// gaps, straddling functions, misses — is scanned cold.
-func (c *checker) checkSpanMemo(ctx *policy.Context, lo, hi int) error {
-	i := lo
-	for i < hi {
+// function of the bytes, so a hit needs no revalidation; gaps outside any
+// function and misses are scanned.
+func (c *checker) checkMemo(ctx *policy.Context) error {
+	n := len(ctx.Program.Insts)
+	for i := 0; i < n; {
 		sp, ok := ctx.Memo.SpanContaining(i)
 		if !ok {
 			if err := c.scanRange(ctx, i, i+1); err != nil {
@@ -143,30 +131,15 @@ func (c *checker) checkSpanMemo(ctx *policy.Context, lo, hi int) error {
 			i++
 			continue
 		}
-		segEnd := sp.EndIdx
-		if segEnd > hi {
-			segEnd = hi
-		}
-		if sp.StartIdx < lo || sp.EndIdx > hi {
-			if err := c.scanRange(ctx, i, segEnd); err != nil {
-				return err
-			}
-			i = segEnd
-			continue
-		}
 		if _, hit := ctx.Memo.Hit(c.fp, sp.Addr); hit {
 			ctx.Memo.CountReuse(1)
-			i = segEnd
-			continue
+		} else {
+			if err := c.scanRange(ctx, sp.StartIdx, sp.EndIdx); err != nil {
+				return err
+			}
+			ctx.Memo.Record(c.fp, sp.Addr, nil)
 		}
-		if err := c.scanRange(ctx, sp.StartIdx, sp.EndIdx); err != nil {
-			return err
-		}
-		ctx.Memo.Record(c.fp, sp.Addr, nil)
-		i = segEnd
+		i = sp.EndIdx
 	}
 	return nil
 }
-
-// Finish implements policy.SpanChecker; there is no epilogue.
-func (c *checker) Finish(ctx *policy.Context) error { return nil }

@@ -1,6 +1,6 @@
 package noforbidden
 
-// The span scan as it was before charge tallies, kept verbatim (renamed
+// The range scan as it was before charge tallies, kept verbatim (renamed
 // only) as the reference the differential test holds scanRange to.
 
 import (

@@ -38,8 +38,8 @@ type Context struct {
 	// Set.ProbeMemo. Nil means cold checking (the default).
 	Memo *memo.Session
 	// Trace, when non-nil, receives one wall-clock span per policy module.
-	// Module spans may run concurrently under CheckParallel, so they carry
-	// no cycle attribution — the enclosing pipeline phase span does.
+	// Module spans carry no cycle attribution — the enclosing pipeline
+	// phase span does.
 	Trace *obs.Trace
 	// JumpTableHint carries binary metadata some policies need (unused by
 	// the built-in modules, reserved for extensions).
@@ -71,8 +71,8 @@ func (c *Context) charge(u cycles.Unit, n uint64) {
 // update per unit instead of one atomic add per step. Charges are sums, so
 // a flushed tally leaves every unit and cycle total exactly where the
 // per-step Charge calls would have. Flush before every return, violations
-// included: CheckParallel folds a failing span's stage, and it must hold
-// everything the span did up to the failure.
+// included, so a rejection charges everything the scan did up to the
+// failure.
 type Tally struct {
 	Scan, Lookup, Pattern uint64
 	// Hashes and HashedBytes count SHA-256 computations and their input.

@@ -111,8 +111,8 @@ func diffCorpora(t *testing.T) []diffCase {
 
 // TestIndexedMatchesReference holds the indexed checker to the reference
 // search: for every corpus, with EarlyExit off and on, the whole-module
-// verdict, violation and charged units (sequential and span-sharded), and
-// for every function its own verdict, memo witness and charged units.
+// verdict, violation and charged units, and for every function its own
+// verdict, memo witness and charged units.
 func TestIndexedMatchesReference(t *testing.T) {
 	verdicts := map[bool]int{}
 	for _, tc := range diffCorpora(t) {
@@ -124,11 +124,6 @@ func TestIndexedMatchesReference(t *testing.T) {
 			err := m.Check(got)
 			verdicts[err == nil]++
 			policytest.SameCheck(t, label, err, ref.Check(want), got.Counter, want.Counter)
-
-			got, want = policytest.Fresh(tc.ctx), policytest.Fresh(tc.ctx)
-			policytest.SameCheck(t, label+"/parallel",
-				policy.NewSet(m).CheckParallel(got, 4), policy.NewSet(ref).CheckParallel(want, 4),
-				got.Counter, want.Counter)
 
 			compareFunctions(t, label, tc.ctx, m, ref)
 		}

@@ -31,11 +31,6 @@ type refModule struct {
 // Name implements policy.Module.
 func (m *refModule) Name() string { return "stack-protector" }
 
-// Check implements policy.Module.
-func (m *refModule) Check(ctx *policy.Context) error {
-	return policy.RunSharded(ctx, m)
-}
-
 // MemoFingerprint implements policy.Memoizable. EarlyExit changes only
 // charge accounting, never the verdict, but memoized outcomes skip the
 // charges too — so it is part of the identity to keep warm-path accounting
@@ -48,31 +43,16 @@ func (m *refModule) MemoFingerprint() [sha256.Size]byte {
 	return policy.MemoKeyFP(m, v)
 }
 
-// BeginShards implements policy.Sharded. The check is function-granular:
-// a function (and all its charges) is owned by the span whose address
-// interval contains the function's start, so span cuts never split or
-// double-count a function.
-func (m *refModule) BeginShards(ctx *policy.Context) (policy.SpanChecker, error) {
-	c := &refChecker{m: m, funcs: ctx.Symbols.Functions()}
+// Check implements policy.Module: every function in the symbol table is
+// checked in address order, through the memo cache when a memo session is
+// active.
+func (m *refModule) Check(ctx *policy.Context) error {
+	var fp [sha256.Size]byte
 	if ctx.Memo != nil {
-		c.memo = true
-		c.fp = m.MemoFingerprint()
+		fp = m.MemoFingerprint()
 	}
-	return c, nil
-}
-
-type refChecker struct {
-	m     *refModule
-	funcs []symtab.Entry
-	memo  bool
-	fp    [sha256.Size]byte
-}
-
-// CheckSpan verifies every function owned by the index span [lo, hi).
-func (c *refChecker) CheckSpan(ctx *policy.Context, lo, hi int) error {
-	m := c.m
 	p := ctx.Program
-	for _, fn := range policy.FuncsInSpan(p, c.funcs, lo, hi) {
+	for _, fn := range ctx.Symbols.Functions() {
 		startIdx, ok := p.InstAt(fn.Addr)
 		if !ok {
 			return &policy.Violation{
@@ -87,8 +67,8 @@ func (c *refChecker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 				endIdx = i
 			}
 		}
-		if c.memo {
-			if done, err := c.checkMemo(ctx, fn, startIdx, endIdx); done {
+		if ctx.Memo != nil {
+			if done, err := m.checkMemo(ctx, fp, fn, startIdx, endIdx); done {
 				if err != nil {
 					return err
 				}
@@ -107,35 +87,31 @@ func (c *refChecker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 	return nil
 }
 
-// Finish implements policy.SpanChecker; there is no epilogue.
-func (c *refChecker) Finish(ctx *policy.Context) error { return nil }
-
 // checkMemo runs one function through the memo cache: revalidated hit →
 // skip, otherwise full check with the passing outcome recorded. done is
 // false when the function is memo-ineligible — its boundary per
 // NextFuncAfter disagrees with the digest span's, so the memoized bytes
 // would not be the bytes this module inspects — and the caller must take
 // the cold path.
-func (c *refChecker) checkMemo(ctx *policy.Context, fn symtab.Entry, startIdx, endIdx int) (done bool, err error) {
-	m := c.m
+func (m *refModule) checkMemo(ctx *policy.Context, fp [sha256.Size]byte, fn symtab.Entry, startIdx, endIdx int) (done bool, err error) {
 	sp, ok := ctx.Memo.Span(fn.Addr)
 	if !ok || sp.StartIdx != startIdx || sp.EndIdx != endIdx {
 		return false, nil
 	}
-	if payload, hit := ctx.Memo.Hit(c.fp, fn.Addr); hit && m.revalidate(ctx, payload, fn.Addr) {
+	if payload, hit := ctx.Memo.Hit(fp, fn.Addr); hit && m.revalidate(ctx, payload, fn.Addr) {
 		ctx.Memo.CountReuse(1)
 		return true, nil
 	}
 	p := ctx.Program
 	if m.isTrivialThunk(p.Insts[startIdx:endIdx]) {
-		ctx.Memo.Record(c.fp, fn.Addr, nil)
+		ctx.Memo.Record(fp, fn.Addr, nil)
 		return true, nil
 	}
 	payload, err := m.checkFunction(ctx, fn.Name, startIdx, endIdx)
 	if err != nil {
 		return true, err
 	}
-	ctx.Memo.Record(c.fp, fn.Addr, payload)
+	ctx.Memo.Record(fp, fn.Addr, payload)
 	return true, nil
 }
 

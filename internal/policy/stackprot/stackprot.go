@@ -70,11 +70,6 @@ func New() *Module { return &Module{} }
 // Name implements policy.Module.
 func (m *Module) Name() string { return "stack-protector" }
 
-// Check implements policy.Module.
-func (m *Module) Check(ctx *policy.Context) error {
-	return policy.RunSharded(ctx, m)
-}
-
 // memoVersion tags the revalidation-payload format: a signed varint of
 // (jne-target address − function address), or empty for a trivial thunk.
 // Bump it whenever the encoding or its interpretation changes.
@@ -92,34 +87,18 @@ func (m *Module) MemoFingerprint() [sha256.Size]byte {
 	return policy.MemoKeyFP(m, v)
 }
 
-// BeginShards implements policy.Sharded. The check is function-granular:
-// a function (and all its charges) is owned by the span whose address
-// interval contains the function's start, so span cuts never split or
-// double-count a function.
-func (m *Module) BeginShards(ctx *policy.Context) (policy.SpanChecker, error) {
-	c := &checker{m: m, funcs: ctx.Symbols.Functions()}
+// Check implements policy.Module: every function in the symbol table is
+// checked in address order, through the function-result cache when a memo
+// session is active.
+func (m *Module) Check(ctx *policy.Context) error {
+	var fp [sha256.Size]byte
 	if ctx.Memo != nil {
-		c.memo = true
-		c.fp = m.MemoFingerprint()
+		fp = m.MemoFingerprint()
 	}
-	return c, nil
-}
-
-type checker struct {
-	m     *Module
-	funcs []symtab.Entry
-	memo  bool
-	fp    [sha256.Size]byte
-}
-
-// CheckSpan verifies every function owned by the index span [lo, hi).
-func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
-	m := c.m
 	p := ctx.Program
-	// Spans run concurrently on one checker, so the scratch index is
-	// per call; its backing array is reused across the span's functions.
+	// The scratch index's backing array is reused across functions.
 	var idx slotIndex
-	for _, fn := range policy.FuncsInSpan(p, c.funcs, lo, hi) {
+	for _, fn := range ctx.Symbols.Functions() {
 		startIdx, ok := p.InstAt(fn.Addr)
 		if !ok {
 			return &policy.Violation{
@@ -134,8 +113,8 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 				endIdx = i
 			}
 		}
-		if c.memo {
-			if done, err := c.checkMemo(ctx, &idx, fn, startIdx, endIdx); done {
+		if ctx.Memo != nil {
+			if done, err := m.checkMemo(ctx, fp, &idx, fn, startIdx, endIdx); done {
 				if err != nil {
 					return err
 				}
@@ -154,28 +133,24 @@ func (c *checker) CheckSpan(ctx *policy.Context, lo, hi int) error {
 	return nil
 }
 
-// Finish implements policy.SpanChecker; there is no epilogue.
-func (c *checker) Finish(ctx *policy.Context) error { return nil }
-
 // checkMemo runs one function through the memo cache: revalidated hit →
 // skip, otherwise full check with the passing outcome recorded. done is
 // false when the function is memo-ineligible — its boundary per
 // NextFuncAfter disagrees with the digest span's, so the memoized bytes
 // would not be the bytes this module inspects — and the caller must take
 // the cold path.
-func (c *checker) checkMemo(ctx *policy.Context, idx *slotIndex, fn symtab.Entry, startIdx, endIdx int) (done bool, err error) {
-	m := c.m
+func (m *Module) checkMemo(ctx *policy.Context, fp [sha256.Size]byte, idx *slotIndex, fn symtab.Entry, startIdx, endIdx int) (done bool, err error) {
 	sp, ok := ctx.Memo.Span(fn.Addr)
 	if !ok || sp.StartIdx != startIdx || sp.EndIdx != endIdx {
 		return false, nil
 	}
-	if payload, hit := ctx.Memo.Hit(c.fp, fn.Addr); hit && m.revalidate(ctx, payload, fn.Addr) {
+	if payload, hit := ctx.Memo.Hit(fp, fn.Addr); hit && m.revalidate(ctx, payload, fn.Addr) {
 		ctx.Memo.CountReuse(1)
 		return true, nil
 	}
 	p := ctx.Program
 	if m.isTrivialThunk(p.Insts[startIdx:endIdx]) {
-		ctx.Memo.Record(c.fp, fn.Addr, nil)
+		ctx.Memo.Record(fp, fn.Addr, nil)
 		return true, nil
 	}
 	witness, err := m.checkFunction(ctx, idx, fn.Name, startIdx, endIdx)
@@ -183,7 +158,7 @@ func (c *checker) checkMemo(ctx *policy.Context, idx *slotIndex, fn symtab.Entry
 		return true, err
 	}
 	rel := int64(witness) - int64(p.Insts[startIdx].Addr)
-	ctx.Memo.Record(c.fp, fn.Addr, binary.AppendVarint(nil, rel))
+	ctx.Memo.Record(fp, fn.Addr, binary.AppendVarint(nil, rel))
 	return true, nil
 }
 

@@ -47,7 +47,7 @@ func validateSeeds(t *testing.T) [][]byte {
 
 // TestProgramsMatchReference decodes whole text sections with the decoder
 // and the reference decoder in lockstep (x86.DiffReference), then checks
-// that nacl.DecodeProgramTraced, sequential and sharded, yields exactly
+// that nacl.DecodeProgramTraced yields exactly
 // that instruction sequence and serves each instruction's bytes. Inputs:
 // the paper's seven benchmarks in all three variants, cold-mixed-shaped
 // images (IFCC over the stack-protected musl, and its syscall, no-canary
@@ -110,34 +110,30 @@ func TestProgramsMatchReference(t *testing.T) {
 		if diff != nil {
 			t.Fatalf("%s: %v", r.name, diff)
 		}
-		for _, workers := range []int{1, 2} {
-			p, err := nacl.DecodeProgramTraced(r.code, r.base, nil, workers, nil)
-			if rej != nil {
-				// Undecodable: the same rejection, named at the same offset.
-				at := fmt.Sprintf("at %#x: %v", r.base+uint64(rejOff), rej)
-				if !errors.Is(err, nacl.ErrUndecodable) || !bytes.Contains([]byte(err.Error()), []byte(at)) {
-					t.Fatalf("%s, %d workers: error %v, want %v %s", r.name, workers, err, nacl.ErrUndecodable, at)
-				}
-				continue
-			}
-			if err != nil {
-				continue // decoded, then rejected by the bundle or branch rule
-			}
-			if len(p.Insts) != len(want) {
-				t.Fatalf("%s, %d workers: %d instructions, reference %d", r.name, workers, len(p.Insts), len(want))
-			}
-			for i := range want {
-				if p.Insts[i] != want[i] {
-					t.Fatalf("%s, %d workers: instruction %d is %+v, want %+v", r.name, workers, i, p.Insts[i], want[i])
-				}
-				off := want[i].Addr - r.base
-				if !bytes.Equal(p.Raw(i), r.code[off:off+uint64(want[i].Len)]) {
-					t.Fatalf("%s, %d workers: Raw(%d) = % x", r.name, workers, i, p.Raw(i))
-				}
-			}
-		}
+		p, err := nacl.DecodeProgramTraced(r.code, r.base, nil, 1, nil)
 		if rej != nil {
+			// Undecodable: the same rejection, named at the same offset.
+			at := fmt.Sprintf("at %#x: %v", r.base+uint64(rejOff), rej)
+			if !errors.Is(err, nacl.ErrUndecodable) || !bytes.Contains([]byte(err.Error()), []byte(at)) {
+				t.Fatalf("%s: error %v, want %v %s", r.name, err, nacl.ErrUndecodable, at)
+			}
 			rejected++
+			continue
+		}
+		if err != nil {
+			continue // decoded, then rejected by the bundle or branch rule
+		}
+		if len(p.Insts) != len(want) {
+			t.Fatalf("%s: %d instructions, reference %d", r.name, len(p.Insts), len(want))
+		}
+		for i := range want {
+			if p.Insts[i] != want[i] {
+				t.Fatalf("%s: instruction %d is %+v, want %+v", r.name, i, p.Insts[i], want[i])
+			}
+			off := want[i].Addr - r.base
+			if !bytes.Equal(p.Raw(i), r.code[off:off+uint64(want[i].Len)]) {
+				t.Fatalf("%s: Raw(%d) = % x", r.name, i, p.Raw(i))
+			}
 		}
 	}
 	if rejected == 0 {

@@ -393,13 +393,11 @@ func (e *Enclave) serveHandshake(tr *obs.Trace, conn io.ReadWriter) error {
 // into (*Enclave).ProvisionStaged. The gateway uses this to consult its
 // verdict cache on the digest computed while the frames arrived.
 //
-// The content transfer overlaps decryption, hashing and speculative
-// disassembly instead of completing before they start. ctx carries the
-// session's trace (obs.WithTrace): the protocol steps — attestation, key
-// exchange, content transfer, provisioning, verdict — are recorded as spans
-// on it, plus the recv-overlap span (recorded by the receive) and a
-// first-byte-to-verdict span anchored at the first content frame's
-// arrival. Attestation, key-exchange and transfer spans are cycle-metered
+// The content transfer decrypts and hashes each frame as it arrives. ctx
+// carries the session's trace (obs.WithTrace): the protocol steps —
+// attestation, key exchange, content transfer, provisioning, verdict — are
+// recorded as spans on it, plus a first-byte-to-verdict span anchored at
+// the first content frame's arrival. Attestation, key-exchange and transfer spans are cycle-metered
 // (their charges fall outside the pipeline's own phase spans); the
 // provision step is wall-clock only, because the pipeline records its own
 // phase spans inside it.
@@ -419,7 +417,6 @@ func (e *Enclave) ServeProvisionFunc(ctx context.Context, conn io.ReadWriter, pr
 	psp := tr.StartSpan("provision")
 	rep, err := provision(st)
 	psp.End()
-	st.Release() // no-op when provision consumed the decode
 	if err != nil {
 		return nil, failNotify(conn, CodeInternal, "provisioning failed", err)
 	}
@@ -453,8 +450,8 @@ type Client struct {
 	// image being provisioned.
 	Route *RouteHello
 	// BlockSize is the encrypted-transfer frame payload size; 0 means the
-	// protocol default of 64 KiB. Smaller frames give a streaming server
-	// finer-grained transfer/pipeline overlap at more framing overhead.
+	// protocol default of 64 KiB. Smaller frames cost more framing
+	// overhead.
 	BlockSize int
 }
 
