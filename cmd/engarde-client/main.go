@@ -1,7 +1,9 @@
 // Command engarde-client runs the cloud-client side of EnGarde: it
-// connects to an engarde-host, verifies the enclave's attestation quote
-// against the expected EnGarde measurement, establishes the encrypted
-// channel, streams an executable, and prints the verdict.
+// connects to an engarde-gatewayd (or an engarde-router in front of
+// several), verifies the enclave's attestation quote against the expected
+// EnGarde measurement, establishes the encrypted channel, streams an
+// executable, and prints the verdict. It exits 0 on a COMPLIANT verdict
+// and 1 on a REJECTED one or any error.
 //
 // Usage:
 //
@@ -38,11 +40,11 @@ import (
 
 func main() {
 	var keyPaths []string
-	flag.Func("attest-key", "platform attestation public key (PEM), as written by engarde-host; repeat once per fleet backend", func(s string) error {
+	flag.Func("attest-key", "platform attestation public key (PEM), as written by engarde-gatewayd -attest-key-out; repeat once per fleet backend", func(s string) error {
 		keyPaths = append(keyPaths, s)
 		return nil
 	})
-	connect := flag.String("connect", "127.0.0.1:7779", "engarde-host or engarde-router address")
+	connect := flag.String("connect", "127.0.0.1:7779", "engarde-gatewayd or engarde-router address")
 	binPath := flag.String("binary", "", "ELF64 PIE executable to provision")
 	announce := flag.Bool("announce", false, "send the plaintext routing preamble (image digest + tenant) so an engarde-router can pick the digest-affine backend")
 	tenant := flag.String("tenant", "", "tenant label for the routing preamble (router quota accounting; implies nothing about identity)")

@@ -1,6 +1,10 @@
-// Command engarde-gatewayd is the production provisioning daemon: the
-// full internal/gateway surface — bounded enclave worker pool, verdict
-// cache, stats endpoint, graceful shutdown — wired to flags.
+// Command engarde-gatewayd is the provider side of EnGarde: it boots the
+// (emulated) SGX platform, writes the platform attestation key
+// (-attest-key-out), and serves the provisioning protocol through the full
+// internal/gateway surface — bounded enclave worker pool, verdict cache,
+// stats endpoint, graceful shutdown — wired to flags. engarde-client
+// provisions a binary against it; the host learns only the verdict, the
+// executable-page list and sizes.
 //
 // Usage:
 //
@@ -25,7 +29,8 @@
 //
 // Logs are structured (log/slog, text or JSON) and every session record
 // carries the session's trace ID, so a slow span seen in /tracez joins to
-// the log line of the session that produced it.
+// the log line of the session that produced it. -pprof adds live
+// profiling on the stats address.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: listeners close, in-flight
 // and queued sessions finish (up to -drain-timeout), then the process
@@ -78,9 +83,7 @@ func main() {
 		traceDir  = flag.String("trace-dir", "", "write every session's trace here: traces.jsonl plus one Chrome trace_event file per session (empty = in-memory /tracez only)")
 		traceRing = flag.Int("trace-ring", 0, "recent traces kept in memory for /tracez (0 = default, negative rejected)")
 
-		pprofOn         = flag.Bool("pprof", false, "expose /debug/pprof/ on the stats address (opt-in: profiles are operator telemetry)")
-		profileDir      = flag.String("profile-dir", "", "capture periodic CPU and heap profiles into this directory (empty disables)")
-		profileInterval = flag.Duration("profile-interval", 0, "period between profile captures (0 = default 60s)")
+		pprofOn = flag.Bool("pprof", false, "expose /debug/pprof/ on the stats address (opt-in: profiles are operator telemetry)")
 	)
 	flag.Parse()
 
@@ -95,7 +98,6 @@ func main() {
 		drainTimeout:     *drainTimeout, statsAddr: *statsAddr,
 		logLevel: *logLevel, logFormat: *logFormat, traceDir: *traceDir,
 		traceRing: *traceRing, pprofOn: *pprofOn,
-		profileDir: *profileDir, profileInterval: *profileInterval,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "engarde-gatewayd:", err)
 		os.Exit(1)
@@ -116,8 +118,6 @@ type config struct {
 	logLevel, logFormat, traceDir           string
 	traceRing                               int
 	pprofOn                                 bool
-	profileDir                              string
-	profileInterval                         time.Duration
 }
 
 func run(cfg config) error {
@@ -198,15 +198,6 @@ func run(cfg config) error {
 		Counter:          counter,
 		Logger:           logger,
 		TraceSink:        sink,
-		OnServed: func(conn net.Conn, _ *engarde.Enclave, rep *engarde.Report, err error) {
-			// The gateway already logged the session (with its trace ID);
-			// this adds the verdict detail only a compliant report carries.
-			if err == nil && rep.Compliant {
-				logger.Info("tenant provisioned",
-					"remote", connString(conn), "cache_hit", rep.CacheHit,
-					"insts", rep.NumInsts, "exec_pages", len(rep.ExecPages))
-			}
-		},
 	})
 	if err != nil {
 		return err
@@ -238,20 +229,6 @@ func run(cfg config) error {
 			"readyz", fmt.Sprintf("http://%s/readyz", statsLn.Addr()))
 	}
 
-	var profiler *obs.Profiler
-	if cfg.profileDir != "" {
-		profiler = &obs.Profiler{
-			Dir: cfg.profileDir, Interval: cfg.profileInterval, Sink: sink,
-			Logf: func(format string, args ...any) {
-				logger.Warn(fmt.Sprintf(format, args...))
-			},
-		}
-		if err := profiler.Start(); err != nil {
-			return fmt.Errorf("profiler: %w", err)
-		}
-		logger.Info("continuous profiling", "dir", cfg.profileDir)
-	}
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- gw.Serve(context.Background(), ln) }()
 
@@ -281,9 +258,6 @@ func run(cfg config) error {
 		result = err
 	}
 
-	if profiler != nil {
-		profiler.Stop()
-	}
 	if statsSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		_ = statsSrv.Shutdown(ctx)
@@ -296,11 +270,4 @@ func run(cfg config) error {
 		"non_compliant", s.NonCompliant, "errors", s.Errors,
 		"cache_hit_rate", fmt.Sprintf("%.2f", s.CacheHitRate))
 	return result
-}
-
-func connString(conn net.Conn) string {
-	if addr := conn.RemoteAddr(); addr != nil {
-		return addr.String()
-	}
-	return "<unknown>"
 }

@@ -31,8 +31,9 @@
 // a cadence (-fleet-interval), merges the latency histograms into
 // fleet-level quantiles, derives an SLO/error-budget block, and serves
 // JSON (default) or a backend-labeled merged Prometheus exposition
-// (?format=prom). -pprof and -profile-dir add live and continuous
-// profiling, same as engarde-gatewayd.
+// (?format=prom). -pprof adds live profiling, same as engarde-gatewayd.
+// Routing and scrape diagnostics (dead backends, dial and hello errors)
+// are logged at debug level.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, /readyz flips to
 // 503, in-flight splices finish (up to -drain-timeout), and new arrivals
@@ -87,9 +88,7 @@ func main() {
 		traceDir  = flag.String("trace-dir", "", "write every route's trace here: traces.jsonl plus one Chrome trace_event file per route (empty = in-memory /tracez only)")
 		traceRing = flag.Int("trace-ring", 0, "recent route traces kept in memory for /tracez (0 = default, negative rejected)")
 
-		pprofOn         = flag.Bool("pprof", false, "expose /debug/pprof/ on the stats address (opt-in: profiles are operator telemetry)")
-		profileDir      = flag.String("profile-dir", "", "capture periodic CPU and heap profiles into this directory (empty disables)")
-		profileInterval = flag.Duration("profile-interval", 0, "period between profile captures (0 = default 60s)")
+		pprofOn = flag.Bool("pprof", false, "expose /debug/pprof/ on the stats address (opt-in: profiles are operator telemetry)")
 	)
 	flag.Parse()
 
@@ -104,7 +103,7 @@ func main() {
 		fleetInterval: *fleetInterval, availTarget: *availTarget,
 		logLevel: *logLevel, logFormat: *logFormat,
 		traceDir: *traceDir, traceRing: *traceRing,
-		pprofOn: *pprofOn, profileDir: *profileDir, profileInterval: *profileInterval,
+		pprofOn: *pprofOn,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "engarde-router:", err)
 		os.Exit(1)
@@ -129,8 +128,6 @@ type routerFlags struct {
 	traceDir                 string
 	traceRing                int
 	pprofOn                  bool
-	profileDir               string
-	profileInterval          time.Duration
 }
 
 // parseBackend decodes one -backend value: name=addr[,adminURL].
@@ -178,9 +175,7 @@ func run(backends []cluster.Backend, cfg routerFlags) error {
 		MarkdownCooldown: cfg.markdownCooldown,
 		Quota:            cluster.QuotaConfig{Rate: cfg.tenantRate, Burst: cfg.tenantBurst},
 		TraceSink:        sink,
-		Logf: func(format string, args ...any) {
-			logger.Debug(fmt.Sprintf(format, args...))
-		},
+		Logger:           logger,
 	})
 	if err != nil {
 		return err
@@ -221,9 +216,7 @@ func run(backends []cluster.Backend, cfg routerFlags) error {
 			AvailabilityTarget: cfg.availTarget,
 			Self:               router.Registry(),
 			SelfSink:           sink,
-			Logf: func(format string, args ...any) {
-				logger.Debug(fmt.Sprintf(format, args...))
-			},
+			Logger:             logger,
 		})
 		agg.Start()
 		mux := router.AdminHandler()
@@ -240,20 +233,6 @@ func run(backends []cluster.Backend, cfg routerFlags) error {
 			"fleetz", fmt.Sprintf("http://%s/fleetz", statsLn.Addr()),
 			"tracez", fmt.Sprintf("http://%s/tracez", statsLn.Addr()),
 			"readyz", fmt.Sprintf("http://%s/readyz", statsLn.Addr()))
-	}
-
-	var profiler *obs.Profiler
-	if cfg.profileDir != "" {
-		profiler = &obs.Profiler{
-			Dir: cfg.profileDir, Interval: cfg.profileInterval, Sink: sink,
-			Logf: func(format string, args ...any) {
-				logger.Warn(fmt.Sprintf(format, args...))
-			},
-		}
-		if err := profiler.Start(); err != nil {
-			return fmt.Errorf("profiler: %w", err)
-		}
-		logger.Info("continuous profiling", "dir", cfg.profileDir)
 	}
 
 	serveErr := make(chan error, 1)
@@ -284,9 +263,6 @@ func run(backends []cluster.Backend, cfg routerFlags) error {
 		result = err
 	}
 
-	if profiler != nil {
-		profiler.Stop()
-	}
 	if agg != nil {
 		agg.Stop()
 	}

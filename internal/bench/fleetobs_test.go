@@ -149,14 +149,12 @@ func TestFleetFailoverOneTrace(t *testing.T) {
 		}}, nil
 	}
 
-	reg := obs.NewRegistry()
-	metrics := engarde.NewClientMetrics(reg)
 	tr := obs.NewTrace("provision", nil)
 	var moves int
 	v, err := fl.Client.ProvisionFailover(
 		[]func() (net.Conn, error){killDial, fl.Dial}, image,
 		engarde.RetryPolicy{
-			Attempts: 4, Seed: 1, Trace: tr, Metrics: metrics,
+			Attempts: 4, Seed: 1, Trace: tr,
 			Sleep:      func(time.Duration) {},
 			OnFailover: func(int, int, error) { moves++ },
 		})
@@ -198,21 +196,6 @@ func TestFleetFailoverOneTrace(t *testing.T) {
 	// The survivor's session trace joined the same distributed trace.
 	if !sinksWithTrace(traceID, []*obs.Sink{fl.Sink(survivor)}, 0)[0] {
 		t.Errorf("survivor's gateway never recorded trace %s", traceID)
-	}
-
-	// The failover was counted by class, and the client exposition lints.
-	var expo strings.Builder
-	if err := reg.WriteText(&expo); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(expo.String(), `engarde_client_failovers_total{class="`) {
-		t.Errorf("client failover counter missing from exposition:\n%s", expo.String())
-	}
-	if !strings.Contains(expo.String(), "} 1") {
-		t.Errorf("no failover class counted exactly one move:\n%s", expo.String())
-	}
-	if errs := obs.Lint(strings.NewReader(expo.String())); len(errs) > 0 {
-		t.Errorf("client exposition fails lint: %v", errs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"sort"
@@ -74,8 +75,9 @@ type RouterConfig struct {
 	// trace context in its preamble gets its ID adopted, so the router's
 	// spans join the client's cross-process trace.
 	TraceSink *obs.Sink
-	// Logf, when set, receives routing-path diagnostics.
-	Logf func(format string, args ...any)
+	// Logger receives routing-path diagnostics at debug level: backend
+	// probe failures, dial and hello errors. Nil discards them.
+	Logger *slog.Logger
 }
 
 // Router is the L4 fleet front door: it accepts client connections, peeks
@@ -153,6 +155,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = DefaultHealthInterval
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = obs.DiscardLogger()
 	}
 	r := &Router{
 		cfg:       cfg,
@@ -237,12 +242,6 @@ func (r *Router) initMetrics() {
 	r.reg.GaugeFunc("engarde_router_backends_healthy",
 		"Backends currently considered routable.",
 		func() float64 { return float64(r.health.CountHealthy(r.ring.Members())) })
-}
-
-func (r *Router) logf(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
-	}
 }
 
 // retryAfterDefault is the hint used when the router sheds with nothing
@@ -390,13 +389,10 @@ func (r *Router) probeLoop() {
 			}
 			switch r.health.ProbeDetail(client, name, b.AdminURL+"/readyz") {
 			case ProbeNotReady:
-				r.logf("router: backend %s not ready", name)
+				r.cfg.Logger.Debug("router: backend not ready", "backend", name)
 			case ProbeUnreachable:
-				if n := r.evictSplices(name); n > 0 {
-					r.logf("router: backend %s unreachable, evicted %d in-flight splices", name, n)
-				} else {
-					r.logf("router: backend %s unreachable", name)
-				}
+				n := r.evictSplices(name)
+				r.cfg.Logger.Debug("router: backend unreachable", "backend", name, "evicted_splices", n)
 			}
 		}
 	}
@@ -633,7 +629,7 @@ func (r *Router) trySession(conn net.Conn, backend Backend, replay []byte, owner
 		dsp.SetArg("outcome", "error")
 		dsp.End()
 		r.metrics.errors[backend.Name].Inc()
-		r.logf("router: dial %s (%s): %v", backend.Name, backend.Addr, err)
+		r.cfg.Logger.Debug("router: dial failed", "backend", backend.Name, "addr", backend.Addr, "err", err)
 		return false, false, 0
 	}
 	dsp.End()
@@ -655,7 +651,7 @@ func (r *Router) trySession(conn net.Conn, backend Backend, replay []byte, owner
 		hsp.SetArg("outcome", "error")
 		hsp.End()
 		r.metrics.errors[backend.Name].Inc()
-		r.logf("router: hello from %s: %v", backend.Name, err)
+		r.cfg.Logger.Debug("router: hello failed", "backend", backend.Name, "err", err)
 		return false, false, 0
 	}
 	if v, isBusy := engarde.PeekBusy(helloFrame); isBusy {

@@ -1,11 +1,16 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,6 +266,7 @@ func TestRouterFailsOverFromDeadOwner(t *testing.T) {
 		t.Fatal("no digest owned by dead backend in sample")
 	}
 
+	var logs lockedBuffer
 	r, raddr := startRouter(t, RouterConfig{
 		Backends: []Backend{
 			{Name: "dead", Addr: deadAddr},
@@ -268,6 +274,7 @@ func TestRouterFailsOverFromDeadOwner(t *testing.T) {
 		},
 		PeekTimeout: time.Second,
 		DialTimeout: 500 * time.Millisecond,
+		Logger:      slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
 
 	conn, err := net.Dial("tcp", raddr)
@@ -300,6 +307,41 @@ func TestRouterFailsOverFromDeadOwner(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+
+	// The one failed dial is one structured record naming the dead backend.
+	var named []map[string]any
+	sc := bufio.NewScanner(bytes.NewReader(logs.Bytes()))
+	for sc.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("log line %q: %v", sc.Text(), err)
+		}
+		if rec["backend"] == "dead" {
+			named = append(named, rec)
+		}
+	}
+	if len(named) != 1 || named[0]["msg"] != "router: dial failed" || named[0]["addr"] != deadAddr {
+		t.Fatalf("records naming the dead backend = %v, want one dial failure", named)
+	}
+}
+
+// lockedBuffer is a log sink the router's goroutines may write while the
+// test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) Bytes() []byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]byte(nil), b.buf.Bytes()...)
 }
 
 func TestRouterQuotaSheds(t *testing.T) {

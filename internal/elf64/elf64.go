@@ -184,6 +184,3 @@ type Rela struct {
 
 // RelaType returns the relocation type (low 32 bits of Info).
 func (r Rela) RelaType() uint32 { return uint32(r.Info) }
-
-// RelaSym returns the symbol index (high 32 bits of Info).
-func (r Rela) RelaSym() uint32 { return uint32(r.Info >> 32) }

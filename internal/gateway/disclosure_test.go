@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
+	"encoding/json"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -138,6 +139,23 @@ func TestAdminSurfaceDisclosesNoContentDigest(t *testing.T) {
 	}
 	if len(sources["/tracez"]) == 0 || len(sources["log"]) == 0 {
 		t.Fatal("nothing to scan: /tracez or the log is empty")
+	}
+	// The compliant session's record discloses sizes the provider learns
+	// anyway (instruction count, executable pages), never content.
+	var served bool
+	for _, line := range bytes.Split(logs.Bytes(), []byte("\n")) {
+		var rec struct {
+			Msg       string `json:"msg"`
+			Verdict   string `json:"verdict"`
+			Insts     int    `json:"insts"`
+			ExecPages int    `json:"exec_pages"`
+		}
+		if json.Unmarshal(line, &rec) == nil && rec.Msg == "gateway: session served" && rec.Verdict == "compliant" {
+			served = rec.Insts > 0 && rec.ExecPages > 0
+		}
+	}
+	if !served {
+		t.Errorf("no compliant \"session served\" record with insts and exec_pages in:\n%s", logs.Bytes())
 	}
 
 	var digests [][sha256.Size]byte

@@ -5,8 +5,8 @@
 // The paper's check runs once per (image, policy-set) pair and is
 // deterministic, so a gateway serving provisioning traffic from many
 // tenants can treat verification as a service with shared, reusable work
-// (cf. Confidential Attestation and MAGE in PAPERS.md). The gateway adds
-// the three things cmd/engarde-host's ad-hoc accept loop lacked:
+// (cf. Confidential Attestation and MAGE in PAPERS.md). Over a bare
+// accept loop that serves one enclave per connection, the gateway adds:
 //
 //   - Admission control: a bounded worker pool (MaxConcurrent enclaves in
 //     flight), a bounded wait queue, typed overload shedding beyond both
@@ -121,22 +121,18 @@ type Config struct {
 	Counter *cycles.Counter
 	// Logger receives structured session records (admission rejection,
 	// serve outcome, shutdown), each carrying the session's trace ID. Nil
-	// falls back to a Logf adapter when Logf is set, else logging is off.
+	// turns logging off.
 	Logger *slog.Logger
-	// Logf, when set and Logger is nil, receives one rendered line per log
-	// record at info level and above. Printf-style; kept for callers
-	// predating Logger.
-	Logf func(format string, args ...any)
 	// TraceSink, when set, receives every session's finished trace (span
-	// timeline plus per-phase cycle attribution) — serve its Handler at
-	// /tracez and point it at a directory for Chrome trace files.
+	// timeline plus per-phase cycle attribution); AdminHandler serves its
+	// ring at /tracez, and a sink with a directory also writes Chrome
+	// trace files.
 	TraceSink *obs.Sink
 	// OnServed, when set, is called after each admitted connection is
 	// served: rep/err are ServeProvisionFunc's results (encl is nil when
 	// enclave creation itself failed). It runs on the worker goroutine
 	// before the enclave is destroyed, so it may still Enter() a compliant
-	// enclave — cmd/engarde-host uses this to transfer control and print
-	// the per-connection summary.
+	// enclave.
 	OnServed func(conn net.Conn, encl *engarde.Enclave, rep *engarde.Report, err error)
 }
 
@@ -214,9 +210,6 @@ func New(cfg Config) (*Gateway, error) {
 		counter = cfg.Provider.Counter()
 	}
 	logger := cfg.Logger
-	if logger == nil && cfg.Logf != nil {
-		logger = obs.LogfLogger(slog.LevelInfo, cfg.Logf)
-	}
 	if logger == nil {
 		logger = obs.DiscardLogger()
 	}
@@ -558,7 +551,8 @@ func (g *Gateway) handle(q queuedConn) {
 		g.metrics.compliant.Inc()
 		g.log.Info("gateway: session served",
 			"trace", tr.ID(), "remote", connAddr(conn), "verdict", "compliant",
-			"cache_hit", rep.CacheHit, "dur_ms", dur.Milliseconds())
+			"cache_hit", rep.CacheHit, "dur_ms", dur.Milliseconds(),
+			"insts", rep.NumInsts, "exec_pages", len(rep.ExecPages))
 	default:
 		g.metrics.nonCompliant.Inc()
 		g.log.Info("gateway: session served",

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"sort"
@@ -40,16 +41,6 @@ const (
 	famSession = "engarde_gateway_session_seconds"
 	famFBTV    = "engarde_gateway_first_byte_to_verdict_seconds"
 )
-
-// Sample and Family are a parsed exposition's series and metric families.
-type (
-	Sample = obs.Sample
-	Family = obs.Family
-)
-
-// ParseProm reads a Prometheus 0.0.4 text exposition into families, in
-// declaration order (obs.ParseText).
-func ParseProm(r io.Reader) ([]Family, error) { return obs.ParseText(r) }
 
 // escapeLabel encodes a label value for re-emission.
 func escapeLabel(v string) string {
@@ -94,8 +85,9 @@ type Config struct {
 	// KeepTraces bounds recent traces retained per source; default 8,
 	// negative disables trace scraping.
 	KeepTraces int
-	// Logf, when set, receives scrape diagnostics.
-	Logf func(format string, args ...any)
+	// Logger receives scrape diagnostics at debug level. Nil discards
+	// them.
+	Logger *slog.Logger
 }
 
 // Aggregator scrapes the fleet and serves the merged view.
@@ -107,7 +99,7 @@ type Aggregator struct {
 
 	mu        sync.Mutex
 	last      FleetView
-	families  map[string][]Family // per-backend parsed exposition
+	families  map[string][]obs.Family // per-backend parsed exposition
 	prevSums  map[string]map[string]float64
 	scrapedAt time.Time
 
@@ -133,10 +125,13 @@ func New(cfg Config) *Aggregator {
 	if cfg.KeepTraces == 0 {
 		cfg.KeepTraces = DefaultKeepTraces
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = obs.DiscardLogger()
+	}
 	a := &Aggregator{
 		cfg:      cfg,
 		client:   cfg.Client,
-		families: make(map[string][]Family),
+		families: make(map[string][]obs.Family),
 		prevSums: make(map[string]map[string]float64),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -177,12 +172,6 @@ func (a *Aggregator) Stop() {
 	a.stopOnce.Do(func() { close(a.stop) })
 }
 
-func (a *Aggregator) logf(format string, args ...any) {
-	if a.cfg.Logf != nil {
-		a.cfg.Logf(format, args...)
-	}
-}
-
 // scrapeText GETs url and hands the body to parse.
 func (a *Aggregator) scrapeBody(ctx context.Context, url string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -206,7 +195,7 @@ func (a *Aggregator) scrapeBody(ctx context.Context, url string) (io.ReadCloser,
 func (a *Aggregator) ScrapeOnce(ctx context.Context) FleetView {
 	type result struct {
 		backend Backend
-		fams    []Family
+		fams    []obs.Family
 		traces  []obs.TraceData
 		err     error
 	}
@@ -224,7 +213,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) FleetView {
 			}
 			body, err := a.scrapeBody(sctx, b.MetricsURL)
 			if err == nil {
-				res.fams, err = ParseProm(body)
+				res.fams, err = obs.ParseText(body)
 				body.Close()
 			}
 			if err != nil {
@@ -232,7 +221,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) FleetView {
 				if a.fails != nil {
 					a.fails.Inc()
 				}
-				a.logf("fleet: scrape %s: %v", b.Name, err)
+				a.cfg.Logger.Debug("fleet: scrape failed", "backend", b.Name, "err", err)
 			} else if b.TracesURL != "" && a.cfg.KeepTraces > 0 {
 				// Traces are best-effort garnish on a healthy scrape.
 				if tb, terr := a.scrapeBody(sctx, b.TracesURL); terr == nil {
@@ -297,7 +286,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) FleetView {
 	if a.cfg.Self != nil {
 		var buf strings.Builder
 		a.cfg.Self.WriteText(&buf)
-		if fams, err := ParseProm(strings.NewReader(buf.String())); err == nil {
+		if fams, err := obs.ParseText(strings.NewReader(buf.String())); err == nil {
 			a.families[a.cfg.SelfName] = fams
 			sums := counterSums(fams)
 			view.Fleet.RouterFailovers = uint64(sums["engarde_router_failover_total"])
@@ -388,7 +377,7 @@ func (a *Aggregator) WriteProm(w io.Writer, view FleetView) {
 	// Merge families across sources by name, preserving one TYPE/HELP.
 	type series struct {
 		source string
-		sample Sample
+		sample obs.Sample
 	}
 	type merged struct {
 		typ, help string
@@ -407,7 +396,8 @@ func (a *Aggregator) WriteProm(w io.Writer, view FleetView) {
 			if m.typ != f.Type {
 				// A cross-source type clash would corrupt the exposition;
 				// first declaration wins, the clashing source is skipped.
-				a.logf("fleet: family %s type %s from %s clashes with %s; skipped", f.Name, f.Type, src, m.typ)
+				a.cfg.Logger.Debug("fleet: family type clash; skipped",
+					"family", f.Name, "type", f.Type, "source", src, "first_type", m.typ)
 				continue
 			}
 			if m.help == "" {
@@ -535,7 +525,7 @@ func readTraceJSONL(r io.Reader, keep int) []obs.TraceData {
 }
 
 // counterSums sums each counter family's samples (all label sets).
-func counterSums(fams []Family) map[string]float64 {
+func counterSums(fams []obs.Family) map[string]float64 {
 	out := make(map[string]float64)
 	for _, f := range fams {
 		if f.Type != "counter" {
@@ -580,7 +570,7 @@ func newHist() *hist { return &hist{cum: make(map[float64]float64)} }
 
 // histogramOf extracts famName's merged bucket set (all label groups
 // folded together) or nil when absent.
-func histogramOf(fams []Family, famName string) *hist {
+func histogramOf(fams []obs.Family, famName string) *hist {
 	for _, f := range fams {
 		if f.Name != famName || f.Type != "histogram" {
 			continue

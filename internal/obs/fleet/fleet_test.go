@@ -255,11 +255,11 @@ func TestParsePromRoundTrip(t *testing.T) {
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseProm(strings.NewReader(buf.String()))
+	fams, err := obs.ParseText(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]Family{}
+	byName := map[string]obs.Family{}
 	for _, f := range fams {
 		byName[f.Name] = f
 	}

@@ -52,43 +52,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// LogfLogger adapts a printf-style sink (the gateway's historical
-// Config.Logf hook) into a slog.Logger, so code migrated to structured
-// logging keeps feeding tests and embedders that still capture lines.
-func LogfLogger(level slog.Level, logf func(format string, args ...any)) *slog.Logger {
-	return slog.New(&logfHandler{level: level, logf: logf})
-}
-
-type logfHandler struct {
-	level slog.Level
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(_ context.Context, l slog.Level) bool {
-	return l >= h.level
-}
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Message)
-	emit := func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-		return true
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(emit)
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	n := &logfHandler{level: h.level, logf: h.logf}
-	n.attrs = append(append(n.attrs, h.attrs...), attrs...)
-	return n
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }

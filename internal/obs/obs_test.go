@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -345,12 +344,4 @@ func TestLoggers(t *testing.T) {
 		t.Fatal("NewLogger accepted unknown format")
 	}
 	DiscardLogger().Error("nowhere")
-
-	var lines []string
-	lf := LogfLogger(lv, func(f string, a ...any) { lines = append(lines, fmt.Sprintf(f, a...)) })
-	lf.Info("below level")
-	lf.With("trace", "t1").Warn("shed", "reason", "queue full")
-	if len(lines) != 1 || !strings.Contains(lines[0], "trace=t1") || !strings.Contains(lines[0], "queue full") {
-		t.Fatalf("logf adapter lines: %q", lines)
-	}
 }

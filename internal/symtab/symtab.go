@@ -85,12 +85,6 @@ func (t *Table) NameAt(addr uint64) (string, bool) {
 	return e.Name, ok
 }
 
-// EntryAt returns the full entry starting exactly at addr.
-func (t *Table) EntryAt(addr uint64) (Entry, bool) {
-	e, ok := t.byAddr[addr]
-	return e, ok
-}
-
 // AddrOf returns the start address of the named function.
 func (t *Table) AddrOf(name string) (uint64, bool) {
 	a, ok := t.byName[name]

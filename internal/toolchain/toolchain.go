@@ -476,13 +476,8 @@ func Build(cfg Config) (*Binary, error) {
 			return nil, fmt.Errorf("toolchain: %s: undefined symbol %q", cfg.Name, f.Sym)
 		}
 		fieldAddr := TextBase + uint64(f.Off)
-		switch f.Kind {
-		case x86.FixupRel32, x86.FixupRIP32:
-			rel := int64(target) - int64(fieldAddr+4)
-			binary.LittleEndian.PutUint32(text[f.Off:], uint32(rel))
-		case x86.FixupAbs64:
-			return nil, fmt.Errorf("toolchain: %s: absolute fixup for %q not supported in PIE text", cfg.Name, f.Sym)
-		}
+		rel := int64(target) - int64(fieldAddr+4)
+		binary.LittleEndian.PutUint32(text[f.Off:], uint32(rel))
 	}
 
 	// Assemble the ELF image.

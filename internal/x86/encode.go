@@ -5,29 +5,15 @@ import (
 	"fmt"
 )
 
-// FixupKind says how a 4-byte fixup field is to be patched.
-type FixupKind int8
-
-// Fixup kinds.
-const (
-	// FixupRel32 patches a signed 32-bit PC-relative branch displacement;
-	// the displacement is relative to the end of the 4-byte field.
-	FixupRel32 FixupKind = iota + 1
-	// FixupRIP32 patches the disp32 of a RIP-relative memory operand; like
-	// FixupRel32 the base is the end of the field (which is also the end of
-	// the instruction for every form the assembler emits).
-	FixupRIP32
-	// FixupAbs64 patches an absolute 64-bit address (movabs); the linker
-	// turns these into R_X86_64_RELATIVE dynamic relocations in PIEs.
-	FixupAbs64
-)
-
 // Fixup is a reference from emitted code to a named symbol, to be resolved
-// by the linker (internal/toolchain) once symbol addresses are known.
+// by the linker (internal/toolchain) once symbol addresses are known. The
+// field is a signed 32-bit displacement relative to the end of the 4-byte
+// field: a rel32 branch target, or the disp32 of a RIP-relative operand,
+// whose base is also the end of the instruction for every form the
+// assembler emits.
 type Fixup struct {
-	Off  int    // byte offset of the patch field within the emitted code
-	Sym  string // target symbol name
-	Kind FixupKind
+	Off int    // byte offset of the patch field within the emitted code
+	Sym string // target symbol name
 }
 
 // Assembler emits x86-64 machine code. It supports local labels (resolved
@@ -102,7 +88,7 @@ func (a *Assembler) Finish() ([]byte, []Fixup, error) {
 	var external []Fixup
 	for _, f := range a.fixups {
 		target, ok := a.labels[f.Sym]
-		if !ok || f.Kind == FixupAbs64 {
+		if !ok {
 			external = append(external, f)
 			continue
 		}
@@ -163,7 +149,7 @@ func (a *Assembler) memForm(w bool, opcode []byte, reg Reg, mem Mem, ripSym stri
 		a.buf = append(a.buf, opcode...)
 		a.buf = append(a.buf, byte(reg&7)<<3|0x05) // mod=00 rm=101
 		if ripSym != "" {
-			a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: ripSym, Kind: FixupRIP32})
+			a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: ripSym})
 			a.imm32(0)
 		} else {
 			a.imm32(int32(mem.Disp))
@@ -273,14 +259,6 @@ func (a *Assembler) MovRegImm64(dst Reg, imm int64) {
 	a.imm64(imm)
 }
 
-// MovRegSymAbs emits movabs $sym, %dst with an absolute fixup.
-func (a *Assembler) MovRegSymAbs(dst Reg, sym string) {
-	a.rex(true, 0, 0, dst)
-	a.buf = append(a.buf, 0xB8+byte(dst&7))
-	a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: sym, Kind: FixupAbs64})
-	a.imm64(0)
-}
-
 // MovMemReg emits mov %src, mem (89 /r, 64-bit).
 func (a *Assembler) MovMemReg(mem Mem, src Reg) { a.memForm(true, []byte{0x89}, src, mem, "") }
 
@@ -311,9 +289,6 @@ func (a *Assembler) LeaMem(dst Reg, mem Mem) { a.memForm(true, []byte{0x8D}, dst
 // AddRegReg emits add %src, %dst (01 /r).
 func (a *Assembler) AddRegReg(dst, src Reg) { a.regForm(true, []byte{0x01}, src, dst) }
 
-// SubRegReg emits sub %src, %dst (29 /r).
-func (a *Assembler) SubRegReg(dst, src Reg) { a.regForm(true, []byte{0x29}, src, dst) }
-
 // SubRegReg32 emits the 32-bit form sub %srcd, %dstd, as in IFCC's
 // "sub %eax, %ecx" guard step.
 func (a *Assembler) SubRegReg32(dst, src Reg) { a.regForm(false, []byte{0x29}, src, dst) }
@@ -335,20 +310,6 @@ func (a *Assembler) AddRegImm8(dst Reg, imm int8) {
 func (a *Assembler) SubRegImm8(dst Reg, imm int8) {
 	a.rex(true, 5, 0, dst)
 	a.buf = append(a.buf, 0x83, 0xC0|5<<3|byte(dst&7), byte(imm))
-}
-
-// AddRegImm32 emits add $imm, %dst (81 /0 id).
-func (a *Assembler) AddRegImm32(dst Reg, imm int32) {
-	a.rex(true, 0, 0, dst)
-	a.buf = append(a.buf, 0x81, 0xC0|byte(dst&7))
-	a.imm32(imm)
-}
-
-// SubRegImm32 emits sub $imm, %dst (81 /5 id).
-func (a *Assembler) SubRegImm32(dst Reg, imm int32) {
-	a.rex(true, 5, 0, dst)
-	a.buf = append(a.buf, 0x81, 0xC0|5<<3|byte(dst&7))
-	a.imm32(imm)
 }
 
 // XorRegReg emits xor %src, %dst (31 /r).
@@ -414,7 +375,7 @@ func (a *Assembler) PopReg(r Reg) {
 // CallSym emits call rel32 against a symbol.
 func (a *Assembler) CallSym(sym string) {
 	a.buf = append(a.buf, 0xE8)
-	a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: sym, Kind: FixupRel32})
+	a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: sym})
 	a.imm32(0)
 }
 
@@ -427,7 +388,7 @@ func (a *Assembler) CallReg(r Reg) {
 // JmpSym emits jmp rel32 against a symbol.
 func (a *Assembler) JmpSym(sym string) {
 	a.buf = append(a.buf, 0xE9)
-	a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: sym, Kind: FixupRel32})
+	a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: sym})
 	a.imm32(0)
 }
 
@@ -445,21 +406,8 @@ func (a *Assembler) JccLabel(c Cond, label string) {
 	a.imm32(0)
 }
 
-// JccSym emits a conditional jump (rel32 form) against a symbol.
-func (a *Assembler) JccSym(c Cond, sym string) {
-	a.buf = append(a.buf, 0x0F, 0x80+byte(c))
-	a.fixups = append(a.fixups, Fixup{Off: len(a.buf), Sym: sym, Kind: FixupRel32})
-	a.imm32(0)
-}
-
 // Ret emits ret.
 func (a *Assembler) Ret() { a.buf = append(a.buf, 0xC3) }
-
-// Leave emits leave.
-func (a *Assembler) Leave() { a.buf = append(a.buf, 0xC9) }
-
-// Int3 emits int3.
-func (a *Assembler) Int3() { a.buf = append(a.buf, 0xCC) }
 
 // Syscall emits syscall (0F 05).
 func (a *Assembler) Syscall() { a.buf = append(a.buf, 0x0F, 0x05) }

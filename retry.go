@@ -141,39 +141,6 @@ type RetryPolicy struct {
 	// failed-over session is ONE trace whose attempt-1 and attempt-2 spans
 	// share an ID across the kill/replay seam, not two unrelated ones.
 	Trace *obs.Trace
-	// Metrics, when set, counts failover moves by FailureClass
-	// (engarde_client_failovers_total).
-	Metrics *ClientMetrics
-}
-
-// ClientMetrics is the client-side failover counter family, registered on
-// an obs.Registry so client processes (cmd/engarde-client, benches) expose
-// the same Prometheus text format as the daemons.
-type ClientMetrics struct {
-	failovers [3]*obs.Counter // indexed by FailureClass
-}
-
-// NewClientMetrics registers engarde_client_failovers_total on reg, one
-// series per FailureClass.
-func NewClientMetrics(reg *obs.Registry) *ClientMetrics {
-	m := &ClientMetrics{}
-	help := "Endpoint switches made by ProvisionFailover, by failure class."
-	for fc := FailTransient; fc <= FailPermanent; fc++ {
-		m.failovers[fc] = reg.Counter("engarde_client_failovers_total", help,
-			obs.Label{Key: "class", Value: fc.String()})
-		help = ""
-	}
-	return m
-}
-
-// RecordFailover counts one endpoint switch caused by err.
-func (m *ClientMetrics) RecordFailover(cause error) {
-	if m == nil {
-		return
-	}
-	if fc := ClassifyFailure(cause); fc >= FailTransient && fc <= FailPermanent {
-		m.failovers[fc].Inc()
-	}
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -236,7 +203,6 @@ func (c *Client) ProvisionFailover(dials []func() (net.Conn, error), image []byt
 			if p.OnFailover != nil {
 				p.OnFailover(cur, next, cause)
 			}
-			p.Metrics.RecordFailover(cause)
 		}
 		return next
 	}
