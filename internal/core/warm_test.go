@@ -68,50 +68,53 @@ func TestWarmProvisionMatchesCold(t *testing.T) {
 			}
 			cold := provisionWith(t, image, tc.makePols(t))
 
-			cache, err := memo.Open(memo.Config{Entries: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The warm cache lives in memory; the subtest keeps its tier name.
+			t.Run("mem", func(t *testing.T) {
+				cache, err := memo.Open(memo.Config{Entries: 1 << 12})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			// The warming pass populates the cache (passing functions
-			// only; violations are never memoized).
-			provisionWarm(t, image, tc.makePols(t), cache)
+				// The warming pass populates the cache (passing functions
+				// only; violations are never memoized).
+				provisionWarm(t, image, tc.makePols(t), cache)
 
-			var first *Report
-			for _, procs := range []int{1, 4, 1, 4} {
-				runtime.GOMAXPROCS(procs)
-				got := provisionWarm(t, image, tc.makePols(t), cache)
-				if got.Compliant != cold.Compliant || got.Reason != cold.Reason {
-					t.Fatalf("GOMAXPROCS %d: warm verdict (%v, %q), cold (%v, %q)",
-						procs, got.Compliant, got.Reason, cold.Compliant, cold.Reason)
+				var first *Report
+				for _, procs := range []int{1, 4, 1, 4} {
+					runtime.GOMAXPROCS(procs)
+					got := provisionWarm(t, image, tc.makePols(t), cache)
+					if got.Compliant != cold.Compliant || got.Reason != cold.Reason {
+						t.Fatalf("GOMAXPROCS %d: warm verdict (%v, %q), cold (%v, %q)",
+							procs, got.Compliant, got.Reason, cold.Compliant, cold.Reason)
+					}
+					if !reflect.DeepEqual(got.Violation, cold.Violation) {
+						t.Fatalf("GOMAXPROCS %d: warm violation %+v, cold %+v",
+							procs, got.Violation, cold.Violation)
+					}
+					if got.NumInsts != cold.NumInsts {
+						t.Fatalf("GOMAXPROCS %d: warm decoded %d instructions, cold %d",
+							procs, got.NumInsts, cold.NumInsts)
+					}
+					// The compliant image re-provisioned through a warmed
+					// cache must actually reuse outcomes — otherwise this
+					// test passes trivially with the cache inert.
+					if tc.name == "compliant-full-set" && got.CachedFunctions == 0 {
+						t.Fatalf("GOMAXPROCS %d: warm run reused no function outcomes", procs)
+					}
+					if first == nil {
+						first = got
+						continue
+					}
+					if got.CachedFunctions != first.CachedFunctions {
+						t.Fatalf("GOMAXPROCS %d: warm run reused %d function outcomes, first warm run %d",
+							procs, got.CachedFunctions, first.CachedFunctions)
+					}
+					if !reflect.DeepEqual(got.Phases, first.Phases) {
+						t.Fatalf("GOMAXPROCS %d: warm phase cycle totals diverge:\n  got:   %v\n  first: %v",
+							procs, got.Phases, first.Phases)
+					}
 				}
-				if !reflect.DeepEqual(got.Violation, cold.Violation) {
-					t.Fatalf("GOMAXPROCS %d: warm violation %+v, cold %+v",
-						procs, got.Violation, cold.Violation)
-				}
-				if got.NumInsts != cold.NumInsts {
-					t.Fatalf("GOMAXPROCS %d: warm decoded %d instructions, cold %d",
-						procs, got.NumInsts, cold.NumInsts)
-				}
-				// The compliant image re-provisioned through a warmed
-				// cache must actually reuse outcomes — otherwise this
-				// test passes trivially with the cache inert.
-				if tc.name == "compliant-full-set" && got.CachedFunctions == 0 {
-					t.Fatalf("GOMAXPROCS %d: warm run reused no function outcomes", procs)
-				}
-				if first == nil {
-					first = got
-					continue
-				}
-				if got.CachedFunctions != first.CachedFunctions {
-					t.Fatalf("GOMAXPROCS %d: warm run reused %d function outcomes, first warm run %d",
-						procs, got.CachedFunctions, first.CachedFunctions)
-				}
-				if !reflect.DeepEqual(got.Phases, first.Phases) {
-					t.Fatalf("GOMAXPROCS %d: warm phase cycle totals diverge:\n  got:   %v\n  first: %v",
-						procs, got.Phases, first.Phases)
-				}
-			}
+			})
 		})
 	}
 }
