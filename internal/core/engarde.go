@@ -521,6 +521,10 @@ func (g *EnGarde) provision(image []byte, prior *Report) (*Report, error) {
 		if err != nil {
 			return g.reject(fmt.Sprintf("disassembly: %v", err), nil), nil
 		}
+		// Nothing keeps prog past provisioning: the symbol table, memo
+		// session and policy verdicts copy values out of it. Its records
+		// go back for the next session's decode.
+		defer prog.Release()
 		if stripped {
 			tab = funcid.Recover(prog, f.Header.Entry)
 		}

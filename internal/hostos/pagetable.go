@@ -58,29 +58,31 @@ func (p Perm) String() string {
 	return string(b)
 }
 
-// pte is a leaf page-table entry.
+// pte is a leaf page-table entry. A zero pte is not present.
 type pte struct {
 	present bool
 	perm    Perm
 	frame   int // backing frame (EPC slot for enclave pages)
 }
 
-// ptNode is one 512-entry level of the radix tree. Interior levels hold
-// children; the leaf level holds PTEs.
-type ptNode struct {
-	children [512]*ptNode
-	ptes     [512]*pte
-}
+// The radix tree's four 512-entry levels. Leaf tables hold their PTEs by
+// value, so mapping a page allocates nothing once its leaf table exists.
+type (
+	ptLeaf [512]pte     // PT
+	ptDir  [512]*ptLeaf // PD
+	ptMid  [512]*ptDir  // PDPT
+	ptRoot [512]*ptMid  // PML4
+)
 
 // AddressSpace is a 4-level x86-64 page table.
 type AddressSpace struct {
 	mu   sync.RWMutex
-	root *ptNode
+	root ptRoot
 }
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{root: &ptNode{}}
+	return &AddressSpace{}
 }
 
 // levelIndex extracts the 9-bit index for the given level (0 = PML4).
@@ -89,29 +91,32 @@ func levelIndex(va uint64, level int) int {
 	return int(va>>shift) & 0x1FF
 }
 
-// walkLocked returns the leaf PTE for va, optionally allocating intermediate
-// levels.
+// child returns the table *slot points to, allocating it first if it is
+// missing and create is set; nil if it is missing otherwise.
+func child[T any](slot **T, create bool) *T {
+	if *slot == nil && create {
+		*slot = new(T)
+	}
+	return *slot
+}
+
+// walkLocked returns the leaf PTE for va, optionally allocating the tables
+// on the way. It returns nil when a table is missing and create is unset;
+// callers treat that like a PTE that is not present.
 func (as *AddressSpace) walkLocked(va uint64, create bool) *pte {
-	node := as.root
-	for level := 0; level < 3; level++ {
-		idx := levelIndex(va, level)
-		next := node.children[idx]
-		if next == nil {
-			if !create {
-				return nil
-			}
-			next = &ptNode{}
-			node.children[idx] = next
-		}
-		node = next
+	mid := child(&as.root[levelIndex(va, 0)], create)
+	if mid == nil {
+		return nil
 	}
-	idx := levelIndex(va, 3)
-	entry := node.ptes[idx]
-	if entry == nil && create {
-		entry = &pte{}
-		node.ptes[idx] = entry
+	dir := child(&mid[levelIndex(va, 1)], create)
+	if dir == nil {
+		return nil
 	}
-	return entry
+	leaf := child(&dir[levelIndex(va, 2)], create)
+	if leaf == nil {
+		return nil
+	}
+	return &leaf[levelIndex(va, 3)]
 }
 
 // Map installs a translation for the page containing va.

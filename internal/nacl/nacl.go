@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"engarde/internal/cycles"
 	"engarde/internal/obs"
@@ -60,6 +61,32 @@ type Program struct {
 	Code []byte
 	// Base and End delimit the validated text region.
 	Base, End uint64
+
+	// buf is the reuse-pool box Insts was taken from, if any; Release
+	// returns Insts in it.
+	buf *[]x86.Inst
+}
+
+// instPool holds instruction-record buffers given back by Release, so a
+// server decoding one image after another reuses them instead of
+// allocating megabytes of records per session. The boxes are pointers so
+// that Put allocates nothing once a box is in circulation.
+var instPool sync.Pool
+
+// Release gives p's instruction records back for reuse by a later decode
+// and sets Insts to nil. The caller must hold no view of Insts, and must
+// not use p's instruction accessors, afterwards. A Program that is never
+// released is simply collected.
+func (p *Program) Release() {
+	if p.Insts == nil {
+		return
+	}
+	if p.buf == nil {
+		p.buf = new([]x86.Inst)
+	}
+	*p.buf = p.Insts[:0]
+	instPool.Put(p.buf)
+	p.buf, p.Insts = nil, nil
 }
 
 // Raw returns the encoded bytes of instruction i, a view of Code.
@@ -126,12 +153,16 @@ func Validate(code []byte, base, entry uint64, tab *symtab.Table, counter *cycle
 func DecodeProgramTraced(code []byte, base uint64, counter *cycles.Counter, workers int, tr *obs.Trace) (*Program, error) {
 	// Pass 1: full decode (rejects mixed code/data).
 	sp := tr.StartSpan("disasm:decode")
-	insts, err := decodeRange(code, base)
+	p := &Program{Code: code, Base: base, End: base + uint64(len(code))}
+	if p.buf, _ = instPool.Get().(*[]x86.Inst); p.buf != nil {
+		p.Insts = *p.buf
+	}
+	var err error
+	p.Insts, err = decodeRange(p.Insts, code, base)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{Insts: insts, Code: code, Base: base, End: base + uint64(len(code))}
 	if counter != nil {
 		counter.Charge(cycles.PhaseDisasm, cycles.UnitDecodedInst, uint64(len(p.Insts)))
 	}
@@ -170,12 +201,13 @@ func DecodeProgramTraced(code []byte, base uint64, counter *cycles.Counter, work
 	return p, nil
 }
 
-// decodeRange decodes the whole of code into its instruction sequence.
-// The records are reserved up front for one instruction per four bytes:
-// synthetic-toolchain instructions average ~4.6 bytes, so this usually
-// avoids every regrow.
-func decodeRange(code []byte, base uint64) ([]x86.Inst, error) {
-	insts := make([]x86.Inst, 0, len(code)/4+1)
+// decodeRange decodes the whole of code into its instruction sequence,
+// appending to insts (empty, possibly with spare capacity). The records
+// are reserved up front for one instruction per four bytes: synthetic-
+// toolchain instructions average ~4.6 bytes, so this usually avoids every
+// regrow.
+func decodeRange(insts []x86.Inst, code []byte, base uint64) ([]x86.Inst, error) {
+	insts = slices.Grow(insts, len(code)/4+1)
 	for off := 0; off < len(code); {
 		insts = slices.Grow(insts, 1)
 		insts = insts[:len(insts)+1]
@@ -192,11 +224,11 @@ func decodeRange(code []byte, base uint64) ([]x86.Inst, error) {
 // CheckReachability enforces the fourth rule: every non-padding
 // instruction must be reachable from the entry point or a function start.
 func (p *Program) CheckReachability(entry uint64, tab *symtab.Table) error {
-	reached := make([]bool, len(p.Insts))
+	reached := make([]uint64, (len(p.Insts)+63)/64) // bitmap over Insts
 	var stack []int
 	mark := func(i int) {
-		if !reached[i] {
-			reached[i] = true
+		if reached[i/64]&(1<<(i%64)) == 0 {
+			reached[i/64] |= 1 << (i % 64)
 			stack = append(stack, i)
 		}
 	}
@@ -236,7 +268,7 @@ func (p *Program) CheckReachability(entry uint64, tab *symtab.Table) error {
 		}
 	}
 	for i := range p.Insts {
-		if !reached[i] && p.Insts[i].Op != x86.OpNop {
+		if reached[i/64]&(1<<(i%64)) == 0 && p.Insts[i].Op != x86.OpNop {
 			return fmt.Errorf("%w: %s at %#x", ErrUnreachable, p.Insts[i].String(), p.Insts[i].Addr)
 		}
 	}

@@ -2,6 +2,7 @@ package nacl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"engarde/internal/cycles"
@@ -190,5 +191,55 @@ func TestValidateRealToolchainOutput(t *testing.T) {
 				t.Errorf("validated %d instructions, toolchain reported %d", len(p.Insts), bin.NumInsts)
 			}
 		})
+	}
+}
+
+// TestReleasedBufferReuse decodes a large image, releases it, then decodes
+// a smaller one, which may land in the large one's records: the result
+// must be exactly a fresh decode, with none of the large image's records
+// left over.
+func TestReleasedBufferReuse(t *testing.T) {
+	text := func(name string, funcs int) *elf64.Section {
+		bin, err := toolchain.Build(toolchain.Config{Name: name, Seed: 7, NumFuncs: funcs, AvgFuncInsts: 80})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := elf64.Parse(bin.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Section(".text")
+	}
+	a, b := text("large", 60), text("small", 12)
+	want, err := decodeRange(nil, b.Data, b.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		pa, err := DecodeProgramTraced(a.Data, a.Addr, nil, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pa.Insts) <= len(want) {
+			t.Fatalf("image A has %d instructions, not more than B's %d", len(pa.Insts), len(want))
+		}
+		pa.Release()
+		if pa.Insts != nil {
+			t.Fatalf("Insts after Release: %d records, want nil", len(pa.Insts))
+		}
+		pa.Release() // a second Release is a no-op
+
+		pb, err := DecodeProgramTraced(b.Data, b.Addr, nil, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(pb.Insts, want) {
+			t.Fatalf("round %d: B decoded into a released buffer differs from a fresh decode", round)
+		}
+		if pb.Base != b.Addr || pb.End != b.Addr+uint64(len(b.Data)) || &pb.Code[0] != &b.Data[0] {
+			t.Fatalf("round %d: B's region is [%#x, %#x), want [%#x, %#x) over its own bytes",
+				round, pb.Base, pb.End, b.Addr, b.Addr+uint64(len(b.Data)))
+		}
+		pb.Release()
 	}
 }

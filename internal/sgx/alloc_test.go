@@ -108,3 +108,24 @@ func TestCloneAllocs(t *testing.T) {
 		t.Errorf("clone+destroy: %.1f allocs/op, ceiling %d", allocs, cloneMaxAllocs)
 	}
 }
+
+// newDeviceMaxHeap bounds what NewDevice takes from the Go heap at the
+// paper's EPC size: the EPCM entries and the free list, never the page
+// storage, which is mapped outside the heap and backed on first touch.
+const newDeviceMaxHeap = 2 << 20
+
+func TestNewDeviceHeapAllocs(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := NewDevice(Config{EPCPages: ModifiedEPCPages, Version: V2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewDevice(%d pages): %d B of Go heap", ModifiedEPCPages, grew)
+	if grew > newDeviceMaxHeap {
+		t.Errorf("NewDevice(%d pages) took %d B of Go heap, ceiling %d", ModifiedEPCPages, grew, newDeviceMaxHeap)
+	}
+}

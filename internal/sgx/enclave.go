@@ -181,8 +181,9 @@ func (d *Device) EAdd(e *Enclave, vaddr uint64, perm Perm, ptype PageType, conte
 	if len(content) == 0 {
 		pg.zero = true
 	} else {
-		clear(pg.data[copy(pg.data[:], content):]) // zero-fill a short source
-		d.cryptPage(slot, e.id, 0, pg.data[:])
+		data := d.page(slot)
+		clear(data[copy(data, content):]) // zero-fill a short source
+		d.cryptPage(slot, e.id, 0, data)
 	}
 	e.pages[vaddr] = slot
 
@@ -224,7 +225,7 @@ func (d *Device) EExtend(e *Enclave, vaddr uint64, offset uint64) error {
 		return nil
 	}
 	chunk := d.scratch.page[:extendChunk]
-	copy(chunk, d.epc[slot].data[offset:])
+	copy(chunk, d.page(slot)[offset:])
 	d.cryptPage(slot, e.id, int(offset), chunk)
 	d.extendLocked(e, vaddr+offset, chunk)
 	return nil
@@ -251,7 +252,7 @@ func (d *Device) EExtendPage(e *Enclave, vaddr uint64) error {
 		return nil
 	}
 	pt := d.scratch.page[:]
-	copy(pt, d.epc[slot].data[:])
+	copy(pt, d.page(slot))
 	d.cryptPage(slot, e.id, 0, pt)
 	for off := uint64(0); off < PageSize; off += extendChunk {
 		d.extendLocked(e, vaddr+off, pt[off:off+extendChunk])
@@ -472,15 +473,16 @@ func (e *Enclave) access(addr uint64, buf []byte, write bool) error {
 		case !write && pg.zero:
 			clear(buf[pos : pos+n])
 		case !write:
-			copy(buf[pos:pos+n], pg.data[off:off+n])
+			copy(buf[pos:pos+n], d.page(slot)[off:off+n])
 			d.cryptPage(slot, e.id, off, buf[pos:pos+n])
 		default:
 			if n < PageSize {
 				d.materializeLocked(slot) // the rest of the page keeps its zeros
 			}
 			pg.zero = false
-			copy(pg.data[off:off+n], buf[pos:pos+n])
-			d.cryptPage(slot, e.id, off, pg.data[off:off+n])
+			data := d.page(slot)[off : off+n]
+			copy(data, buf[pos:pos+n])
+			d.cryptPage(slot, e.id, off, data)
 		}
 		pos += n
 	}

@@ -104,7 +104,7 @@ func (d *Device) EWB(e *Enclave, vaddr uint64) (*EvictedPage, error) {
 	if pg.zero {
 		clear(plain)
 	} else {
-		copy(plain, pg.data[:])
+		copy(plain, d.page(slot))
 		d.cryptPage(slot, e.id, 0, plain)
 	}
 
@@ -160,8 +160,10 @@ func (d *Device) ELDU(e *Enclave, ep *EvictedPage) error {
 	}
 	pg := &d.epc[slot]
 	pg.setEPCM(e.id, ep.Vaddr, ep.Perm, ep.PType)
-	pg.data = d.evictCrypt(ep.Nonce, ep.Data[:])
-	d.cryptPage(slot, e.id, 0, pg.data[:])
+	plain := d.evictCrypt(ep.Nonce, ep.Data[:])
+	data := d.page(slot)
+	copy(data, plain[:])
+	d.cryptPage(slot, e.id, 0, data)
 	e.pages[ep.Vaddr] = slot
 	delete(e.evicted, ep.Vaddr)
 	return nil

@@ -121,18 +121,17 @@ var (
 	ErrEnclaveLost    = errors.New("sgx: enclave lost (EPC pages reclaimed by host)")
 )
 
-// epcPage is one ciphertext page plus its EPCM entry.
+// epcPage is one slot's EPCM entry. The slot's ciphertext (AES-CTR under
+// the hardware key) is Device.page(slot).
 type epcPage struct {
-	data [PageSize]byte // AES-CTR ciphertext under the hardware key
-
-	valid   bool
 	owner   EnclaveID
 	vaddr   uint64
+	valid   bool
 	perm    Perm
 	ptype   PageType
 	pending bool // EAUG'd but not yet EACCEPT'd (v2)
-	// zero means the page's plaintext is all zeros and data does not hold
-	// its ciphertext yet: the keystream is written on first touch
+	// zero means the page's plaintext is all zeros and the slot does not
+	// hold its ciphertext yet: the keystream is written on first touch
 	// (materializeLocked). A simulation shortcut only — no instruction is
 	// charged differently, and every observer sees the eager page.
 	zero bool
@@ -162,9 +161,16 @@ func (d *Device) materializeLocked(slot int) {
 	if !pg.zero {
 		return
 	}
-	clear(pg.data[:])
-	d.cryptPage(slot, pg.owner, 0, pg.data[:])
+	data := d.page(slot)
+	clear(data)
+	d.cryptPage(slot, pg.owner, 0, data)
 	pg.zero = false
+}
+
+// page returns slot's stored ciphertext, a view of the EPC storage. The
+// view must not outlive the caller's hold on d.mu.
+func (d *Device) page(slot int) []byte {
+	return d.mem.b[slot*PageSize : (slot+1)*PageSize : (slot+1)*PageSize]
 }
 
 // Config configures a Device.
@@ -183,8 +189,9 @@ type Config struct {
 type Device struct {
 	mu       sync.Mutex
 	version  Version
-	epc      []epcPage
-	free     []int // free EPC slot indexes
+	epc      []epcPage // EPCM
+	mem      *epcMem   // page storage, first-touch
+	free     []int     // free EPC slot indexes
 	enclaves map[EnclaveID]*Enclave
 	nextID   EnclaveID
 
@@ -227,6 +234,11 @@ func NewDevice(cfg Config) (*Device, error) {
 	for i := range d.free {
 		d.free[i] = n - 1 - i // pop from the end → ascending allocation
 	}
+	mem, err := newEPCMem(n)
+	if err != nil {
+		return nil, err
+	}
+	d.mem = mem
 	if _, err := rand.Read(d.hwKey[:]); err != nil {
 		return nil, fmt.Errorf("sgx: generating hardware key: %w", err)
 	}
@@ -309,7 +321,7 @@ func (d *Device) RawEPCPage(slot int) ([]byte, bool) {
 	}
 	d.materializeLocked(slot)
 	out := make([]byte, PageSize)
-	copy(out, d.epc[slot].data[:])
+	copy(out, d.page(slot))
 	return out, true
 }
 

@@ -102,7 +102,7 @@ func (d *Device) SnapshotEnclave(e *Enclave) (*Snapshot, error) {
 		sp := snapPage{vaddr: vaddr, perm: pg.perm, ptype: pg.ptype}
 		if !pg.zero {
 			pt := &d.scratch.page
-			*pt = pg.data
+			copy(pt[:], d.page(slot))
 			d.cryptPage(slot, e.id, 0, pt[:])
 			if *pt != ([PageSize]byte{}) {
 				sp.data = new([PageSize]byte)
@@ -207,6 +207,7 @@ func (d *Device) restoreLocked(slot int, sp *snapPage) {
 		return
 	}
 	pg.zero = false
-	pg.data = *sp.data
-	d.cryptPage(slot, pg.owner, 0, pg.data[:])
+	data := d.page(slot)
+	copy(data, sp.data[:])
+	d.cryptPage(slot, pg.owner, 0, data)
 }
